@@ -1,9 +1,8 @@
-"""Shared pieces of perfbench: metric catalogue, workload parameters,
-run bookkeeping and small statistics helpers.
+"""Shared pieces of perfbench: the span-coverage map, workload
+parameters, run bookkeeping and small statistics helpers.
 
-The catalogue below is the single source of truth for metric names,
-units and directions; ``run.py`` refuses to run when ``BENCHMARK.json``
-disagrees with it.
+Metric names, units and directions live in ``BENCHMARK.json`` only;
+``run.py`` reads them from there.
 """
 
 from __future__ import annotations
@@ -15,88 +14,74 @@ import time
 
 import numpy as np
 
-WORKLOADS = ("pretrain", "bulk_embed", "serve_skewed", "serve_out_of_core")
 SERVE = ("serve_skewed", "serve_out_of_core")
 
-#: End-to-end metrics, printed by every untraced run of every workload:
-#: (name, unit, better).
-END_TO_END = (
-    ("setup_s", "s", "lower"),
-    ("peak_rss_mb", "MB", "lower"),
-    ("ok_ratio", "ratio", "higher"),
-    ("events_per_s", "1/s", "higher"),
-    ("latency_ms_p50", "ms", "lower"),
-    ("latency_ms_tail", "ms", "lower"),
-    ("slo_ratio", "ratio", "higher"),
-)
+_P, _B, _S, _O = "pretrain", "bulk_embed", "serve_skewed", "serve_out_of_core"
+_ALL = (_P, _B, _S, _O)
 
-_P, _B, _S, _O = WORKLOADS
-_ALL = WORKLOADS
-_SRV = SERVE
-
-#: Per-layer metrics, printed by every traced run of every workload:
-#: (name, unit, workloads on which it must record a nonzero call count).
-#: A metric of a layer the workload does not exercise reads 0.
-PER_LAYER = (
+#: Span-coverage guard: for each per-layer metric, the workloads on which
+#: a traced run must record a nonzero call count for it.  A metric of a
+#: layer the workload does not exercise reads 0.
+REQUIRED = {
     # pretrain: CoLES Phase 1 through ContrastiveTrainer.fit
-    ("core.batching.batch_ms", "ms", (_P,)),
-    ("runtime.training.forward_ms", "ms", (_P,)),
-    ("runtime.kernels.encode_train_ms", "ms", (_P,)),
-    ("runtime.kernels.rnn_forward_train_ms", "ms", (_P,)),
-    ("runtime.training.loss_gradient_ms", "ms", (_P,)),
-    ("runtime.training.backward_ms", "ms", (_P,)),
-    ("runtime.kernels.rnn_backward_ms", "ms", (_P,)),
-    ("nn.clip_grad_norm_ms", "ms", (_P,)),
-    ("nn.adam_step_ms", "ms", (_P,)),
-    ("pretrain.steps", "count", (_P,)),
-    ("pretrain.events", "count", (_P,)),
-    ("pretrain.padded_cell_ratio", "ratio", (_P,)),
-    ("pretrain.loss_final", "loss", (_P,)),
+    "core.batching.batch_ms": (_P,),
+    "runtime.training.forward_ms": (_P,),
+    "runtime.kernels.encode_train_ms": (_P,),
+    "runtime.kernels.rnn_forward_train_ms": (_P,),
+    "runtime.training.loss_gradient_ms": (_P,),
+    "runtime.training.backward_ms": (_P,),
+    "runtime.kernels.rnn_backward_ms": (_P,),
+    "nn.clip_grad_norm_ms": (_P,),
+    "nn.adam_step_ms": (_P,),
+    "pretrain.steps": (_P,),
+    "pretrain.events": (_P,),
+    "pretrain.padded_cell_ratio": (_P,),
+    "pretrain.loss_final": (_P,),
     # bulk_embed: embed_dataset under the serving defaults
-    ("data.bucketing.plan_ms", "ms", (_B,)),
-    ("data.batches.collate_ms", "ms", (_B,)),
-    ("runtime.engine.encode_events_ms", "ms", (_B, _S, _O)),
-    ("runtime.kernels.rnn_forward_gru_ms", "ms", (_B, _S, _O)),
-    ("runtime.kernels.rnn_forward_lstm_ms", "ms", (_B,)),
-    ("runtime.engine.head_ms", "ms", (_B, _S, _O)),
-    ("runtime.attention.transformer_forward_ms", "ms", (_B,)),
-    ("bulk_embed.batches", "count", (_B,)),
-    ("bulk_embed.padded_cell_ratio", "ratio", (_B,)),
-    ("bulk_embed.gru_events_per_s", "1/s", (_B,)),
-    ("bulk_embed.lstm_events_per_s", "1/s", (_B,)),
-    ("bulk_embed.transformer_events_per_s", "1/s", (_B,)),
+    "data.bucketing.plan_ms": (_B,),
+    "data.batches.collate_ms": (_B,),
+    "runtime.engine.encode_events_ms": (_B, _S, _O),
+    "runtime.kernels.rnn_forward_gru_ms": (_B, _S, _O),
+    "runtime.kernels.rnn_forward_lstm_ms": (_B,),
+    "runtime.engine.head_ms": (_B, _S, _O),
+    "runtime.attention.transformer_forward_ms": (_B,),
+    "bulk_embed.batches": (_B,),
+    "bulk_embed.padded_cell_ratio": (_B,),
+    "bulk_embed.gru_events_per_s": (_B,),
+    "bulk_embed.lstm_events_per_s": (_B,),
+    "bulk_embed.transformer_events_per_s": (_B,),
     # serve_*: AsyncIngestPipeline + EmbeddingService
-    ("serving.pipeline.submit_wait_ms", "ms", _SRV),
-    ("serving.pipeline.blocked_submits", "count", (_S,)),
-    ("serving.pipeline.queued_events_max", "events", _SRV),
-    ("serving.pipeline.queued_events_slope", "events/s", _SRV),
-    ("serving.service.lock_wait_query_ms", "ms", _SRV),
-    ("serving.service.lock_wait_query_ms_p99", "ms", _SRV),
-    ("serving.service.lock_wait_flush_ms", "ms", _SRV),
-    ("serving.service.flush_ms", "ms", _SRV),
-    ("serving.service.flushes", "count", _SRV),
-    ("serving.service.stale_flush_ms", "ms", (_S,)),
-    ("serving.service.stale_flushes", "count", (_S,)),
-    ("runtime.store.advance_ms", "ms", _SRV),
-    ("serving.sharding.gather_ms", "ms", _SRV),
-    ("serving.cache.hit_ratio", "ratio", _SRV),
-    ("serving.microbatch.events_per_flush", "events", _SRV),
-    ("serving.service.rows_per_fused_batch", "rows", _SRV),
-    ("runtime.backends.get_ms", "ms", _SRV),
-    ("runtime.backends.get_calls", "count", _SRV),
-    ("runtime.backends.put_ms", "ms", _SRV),
-    ("runtime.backends.put_calls", "count", _SRV),
-    ("runtime.backends.shard_loads", "count", (_O,)),
-    ("runtime.backends.evictions", "count", (_O,)),
-    ("runtime.backends.shard_hit_ratio", "ratio", (_O,)),
-    ("serving.state_bytes_per_entity", "B", _SRV),
-    ("serving.queries", "count", _SRV),
-    ("loadgen.late_ms_p99", "ms", _SRV),
+    "serving.pipeline.submit_wait_ms": SERVE,
+    "serving.pipeline.blocked_submits": (_S,),
+    "serving.pipeline.queued_events_max": SERVE,
+    "serving.pipeline.queued_events_slope": SERVE,
+    "serving.service.lock_wait_query_ms": SERVE,
+    "serving.service.lock_wait_query_ms_p99": SERVE,
+    "serving.service.lock_wait_flush_ms": SERVE,
+    "serving.service.flush_ms": SERVE,
+    "serving.service.flushes": SERVE,
+    "serving.service.stale_flush_ms": (_S,),
+    "serving.service.stale_flushes": (_S,),
+    "runtime.store.advance_ms": SERVE,
+    "serving.sharding.gather_ms": SERVE,
+    "serving.cache.hit_ratio": SERVE,
+    "serving.microbatch.events_per_flush": SERVE,
+    "serving.service.rows_per_fused_batch": SERVE,
+    "runtime.backends.get_ms": SERVE,
+    "runtime.backends.get_calls": SERVE,
+    "runtime.backends.put_ms": SERVE,
+    "runtime.backends.put_calls": SERVE,
+    "runtime.backends.shard_loads": (_O,),
+    "runtime.backends.evictions": (_O,),
+    "runtime.backends.shard_hit_ratio": (_O,),
+    "serving.state_bytes_per_entity": SERVE,
+    "serving.queries": SERVE,
+    "loadgen.late_ms_p99": SERVE,
     # the trace itself
-    ("trace.overhead_events_per_s_ratio", "ratio", _ALL),
-    ("trace.overhead_latency_ms_p50_ratio", "ratio", _ALL),
-    ("trace.spans", "count", _ALL),
-)
+    "trace.overhead_events_per_s_ratio": _ALL,
+    "trace.overhead_latency_ms_p50_ratio": _ALL,
+    "trace.spans": _ALL,
+}
 
 #: Workload parameters.  Offered rates and latency limits are constants
 #: (about half the capacity, and about twice the tail latency, measured
@@ -107,7 +92,7 @@ PARAMS = {
         "length_min": 8, "length_max": 256, "hidden": 48, "epochs": 2,
         "slice_min": 10, "slice_max": 100, "slices": 5,
         "tail_percentile": 95, "latency_limit_ms": 100.0,
-        "setup_repeats": 5,
+        "setup_repeats": 9,
     },
     "bulk_embed": {
         "population": 4096, "length_median": 40, "length_sigma": 0.9,
@@ -122,22 +107,22 @@ PARAMS = {
         "length_min": 1, "length_max": 128, "hidden": 48,
         "backend": "dict", "codec": None, "zipf": 1.05,
         "chunk_min": 2, "chunk_max": 6, "chunk_gap": 0.05,
-        "capacity_reps": 6, "capacity_events": 100_000,
+        "capacity_reps": 10, "capacity_events": 60_000,
         "offered_events_per_s": 25_000.0, "offered_queries_per_s": 200.0,
-        "query_ids": 16, "min_queries": 1000,
+        "query_ids": 16, "min_queries": 2000,
         "latency_limit_ms": 12.0, "max_pending_events": 8192,
         "late_fraction_limit": 0.5, "backlog_growth_limit": 0.25,
         "drift_atol": 1e-5, "check_sample": 32,
-        "tail_percentile": 99, "setup_repeats": 3,
+        "tail_percentile": 95, "setup_repeats": 3,
     },
     "serve_out_of_core": {
         "population": 100_000, "length_median": 4, "length_sigma": 1.0,
         "length_min": 1, "length_max": 128, "hidden": 48,
         "backend": "memmap", "codec": "int8", "zipf": 0.0,
         "chunk_min": 2, "chunk_max": 6, "chunk_gap": 0.05,
-        "capacity_reps": 3, "capacity_events": 2000,
-        "offered_events_per_s": 350.0, "offered_queries_per_s": 120.0,
-        "query_ids": 4, "min_queries": 1000,
+        "capacity_reps": 4, "capacity_events": 2000,
+        "offered_events_per_s": 350.0, "offered_queries_per_s": 100.0,
+        "query_ids": 4, "min_queries": 1500,
         "latency_limit_ms": 300.0, "max_pending_events": 8192,
         "late_fraction_limit": 0.5, "backlog_growth_limit": 0.25,
         "drift_atol": 0.05, "check_sample": 32,

@@ -12,7 +12,10 @@ front of it.  A pass then runs two phases:
   small queries at the offered query rate.  Query latency is timed from
   when each query was due.
 
-The offered rates and the latency limit are workload constants.
+A warming pass runs one extra cycle first and discards its figures.
+Pass inputs are generated by :func:`prepare`, outside set-up and outside
+the timed passes.  The offered rates and the latency limit are workload
+constants.
 """
 
 from __future__ import annotations
@@ -63,20 +66,28 @@ class Window:
 class Pass:
     """The inputs of one measurement pass: ``capacity_reps`` cycles of a
     capacity stream followed by an open-loop window, so each figure is
-    sampled across the whole pass."""
+    sampled across the whole pass, plus a first cycle to discard when
+    the pass warms up."""
 
-    def __init__(self, state, seconds):
+    def __init__(self, state, seconds, warmup):
         params = state.params
-        reps = params["capacity_reps"]
+        reps = params["capacity_reps"] + (1 if warmup else 0)
         rng = np.random.default_rng(seed_of(state.seed, 10, state.passes))
-        window_s = mixed_seconds(params, seconds) / reps
+        window_s = mixed_seconds(params, seconds) / params["capacity_reps"]
+        self.warmup = warmup
         self.cycles = [(state.segment(params["capacity_events"]),
                         Window(state, window_s, rng)) for _ in range(reps)]
         state.passes += 1
 
 
+def prepare(state, seconds, warmup):
+    """Generate the next pass's inputs; passes run in the order they
+    were prepared, because each continues the streams before it."""
+    state.pending.append(Pass(state, seconds, warmup))
+
+
 class State:
-    def __init__(self, workload, seed, seconds, workdir):
+    def __init__(self, workload, seed, workdir):
         params = self.params = PARAMS[workload]
         self.seed = seed
         self.workdir = workdir
@@ -84,7 +95,7 @@ class State:
         self.stream = ChunkStream(self.history, seed, params)
         self.chunks_of = defaultdict(list)   # entity -> streamed chunks
         self.passes = 0
-        self.pending = Pass(self, seconds)
+        self.pending = []                    # prepared, not yet run
         self.encoder = build_encoder(self.history.schema, params["hidden"],
                                      "gru",
                                      rng=np.random.default_rng(seed_of(seed,
@@ -115,10 +126,6 @@ class State:
         picked = rng.choice(len(rest), size=min(len(rest), size - size // 2),
                             replace=False)
         return ranked[:size // 2] + [rest[i] for i in sorted(picked)]
-
-    def next_pass(self, seconds):
-        current, self.pending = self.pending, None
-        return current or Pass(self, seconds)
 
     def close(self):
         try:
@@ -229,15 +236,30 @@ def _mixed(state, run, window, out):
         out["slopes"].append(float(np.polyfit(t, queued, 1)[0]))
 
 
+def _records():
+    return {"late": [], "latency": [], "ok": [], "hits": 0, "lookups": 0,
+            "backlog_samples": 0, "queued_max": 0.0, "slopes": []}
+
+
 def measure(state, run, seconds, warmup):
+    """Run the next prepared pass (``seconds`` was given to
+    :func:`prepare`); returns the pass figures."""
     params = state.params
-    current = state.next_pass(seconds)
+    current = state.pending.pop(0)
+    if current.warmup != warmup:
+        raise RuntimeError("pass prepared with warmup=%s, run with %s"
+                           % (current.warmup, warmup))
+    cycles = current.cycles
+    if warmup:
+        capacity, window = cycles[0]
+        _capacity(state, run, capacity)
+        _mixed(state, run, window, _records())
+        cycles = cycles[1:]
     blocked_before = state.pipeline.stats()["blocked_submits"]
     rates = []
-    out = {"late": [], "latency": [], "ok": [], "hits": 0, "lookups": 0,
-           "backlog_samples": 0, "queued_max": 0.0, "slopes": []}
+    out = _records()
     windows = []
-    for capacity, window in current.cycles:
+    for capacity, window in cycles:
         rates.append(_capacity(state, run, capacity))
         start = len(out["latency"])
         _mixed(state, run, window, out)
@@ -248,7 +270,7 @@ def measure(state, run, seconds, warmup):
         "window_latency_ms_p95": [percentile(w, 95) for w in windows]})
     latency = np.array(out["latency"]) * 1e3
     limit = params["latency_limit_ms"]
-    window_s = current.cycles[0][1].seconds
+    window_s = cycles[0][1].seconds
     figures = {
         "events_per_s": float(np.median(rates)),
         "latency_ms_p50": percentile(latency, 50),

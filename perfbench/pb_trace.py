@@ -139,11 +139,11 @@ class Tracer:
         self._patches = []
 
     # -- summaries --------------------------------------------------------
-    def summary(self, since=0):
+    def summary(self):
         """Per span name: calls, total seconds, self seconds."""
         out = defaultdict(lambda: {"calls": 0, "total_s": 0.0,
                                    "self_s": 0.0})
-        for record in self.spans[since:]:
+        for record in self.spans:
             entry = out[record[_NAME]]
             duration = record[_END] - record[_START]
             entry["calls"] += 1

@@ -48,31 +48,21 @@ def _import_program():
         _fail("imported repro from %s, not from %s" % (location, SRC))
 
 
-def _check_catalogue(common):
-    """BENCHMARK.json must list exactly the metrics this code prints."""
+def _load_spec():
+    """Workloads and metric names, units and directions, from
+    ``BENCHMARK.json`` at the root of the checkout."""
     path = os.path.join(ROOT, "BENCHMARK.json")
     try:
         with open(path) as handle:
-            spec = json.load(handle)
+            return json.load(handle)
     except (OSError, ValueError) as error:
         _fail("cannot read %s: %s" % (path, error))
-    declared = {m["name"]: (m["unit"], m["better"])
-                for m in spec["end_to_end"]}
-    printed = {name: (unit, better)
-               for name, unit, better in common.END_TO_END}
-    layers = {m["name"]: m["unit"] for m in spec["per_layer"]}
-    if (declared != printed
-            or layers != {n: u for n, u, _ in common.PER_LAYER}
-            or [w["name"] for w in spec["workloads"]] != list(
-                common.WORKLOADS)):
-        _fail("BENCHMARK.json and perfbench/pb_common.py disagree on the "
-              "metric or workload catalogue")
 
 
-def _layer_metrics(module, tracer, state, traced, untraced, common):
+def _layer_metrics(module, tracer, state, traced, untraced, names):
     """Every per-layer value, and the call count behind each."""
     summary = tracer.summary()
-    values = {name: 0.0 for name, _, _ in common.PER_LAYER}
+    values = dict.fromkeys(names, 0.0)
     counts = dict.fromkeys(values, 0)
     for name, (span, field) in module.SPAN_METRICS.items():
         entry = summary.get(span)
@@ -121,10 +111,11 @@ def main(argv=None):
     import time
 
     import pb_common as common
-    _check_catalogue(common)
-    if args.workload not in common.WORKLOADS:
+    spec = _load_spec()
+    workloads = [workload["name"] for workload in spec["workloads"]]
+    if args.workload not in workloads:
         _fail("unknown workload %r (choose from %s)"
-              % (args.workload, ", ".join(common.WORKLOADS)))
+              % (args.workload, ", ".join(workloads)))
     from pb_trace import Tracer
     if args.workload == "pretrain":
         import pb_pretrain as module
@@ -139,17 +130,24 @@ def main(argv=None):
 
     def build(index):
         if args.workload in common.SERVE:
-            return module.State(args.workload, args.seed, args.seconds,
+            return module.State(args.workload, args.seed,
                                 "%s-%d" % (workdir, index))
         return module.State(args.seed)
 
     repeats = 1 if args.trace else params["setup_repeats"]
     state, setup_s = common.median_setup(build, repeats)
-    # The generated inputs are the benchmark's, not the program's: keep
-    # the collector from re-walking them during the timed passes.
-    gc.collect()
-    gc.freeze()
     try:
+        # Serve passes stream generated inputs; make them now, in the
+        # order they are ingested, outside every timed region.
+        prepare = getattr(module, "prepare", None)
+        if prepare is not None:
+            prepare(state, args.seconds, warmup=True)
+            if args.trace:
+                prepare(state, 0, warmup=False)
+        # The generated inputs are the benchmark's, not the program's:
+        # keep the collector from re-walking them during the timed passes.
+        gc.collect()
+        gc.freeze()
         untraced = module.measure(state, run, args.seconds, warmup=True)
         if args.trace:
             tracer = Tracer()
@@ -180,13 +178,16 @@ def main(argv=None):
                               "unit": "ratio"}
     report["metrics"] = named
     if args.trace:
+        layer_names = [m["name"] for m in spec["per_layer"]]
         values, counts, summary = _layer_metrics(module, tracer, state,
-                                                 traced, untraced, common)
+                                                 traced, untraced,
+                                                 layer_names)
         report["self_time_share"] = _shares(summary, tracer.sums,
                                             traced_seconds)
         report["traced"] = module.named_metrics(traced, None)
-        missing = [name for name, _, required in common.PER_LAYER
-                   if args.workload in required and not counts[name]]
+        missing = [name for name in layer_names
+                   if args.workload in common.REQUIRED[name]
+                   and not counts[name]]
         out_dir = os.path.join(ROOT, ".perfbench_out")
         os.makedirs(out_dir, exist_ok=True)
         spans_path = os.path.join(out_dir, "spans-%s-%d.jsonl"
@@ -198,9 +199,9 @@ def main(argv=None):
             _fail("span coverage: %s recorded zero calls on %s -- a "
                   "wrapper is patched onto a name the caller does not look "
                   "up" % (", ".join(missing), args.workload), code=3)
-        units = {name: unit for name, unit, _ in common.PER_LAYER}
-        metrics = {name: {"value": float(values[name]), "unit": units[name]}
-                   for name, _, _ in common.PER_LAYER}
+        metrics = {m["name"]: {"value": float(values[m["name"]]),
+                               "unit": m["unit"]}
+                   for m in spec["per_layer"]}
     else:
         print(json.dumps({"report": report}, default=float))
         e2e = {
@@ -211,8 +212,9 @@ def main(argv=None):
         for name in ("events_per_s", "latency_ms_p50", "latency_ms_tail",
                      "slo_ratio"):
             e2e[name] = untraced[name]
-        metrics = {name: {"value": float(e2e[name]), "unit": unit}
-                   for name, unit, _ in common.END_TO_END}
+        metrics = {m["name"]: {"value": float(e2e[m["name"]]),
+                               "unit": m["unit"]}
+                   for m in spec["end_to_end"]}
     correct = (run.failed == 0 and not run.invalid
                and all(c["ok"] for c in run.checks))
     for reason in run.invalid:
