@@ -22,7 +22,7 @@ from repro.data.sequences import SequenceDataset
 from repro.encoders import build_encoder
 from repro.runtime import FusedEncoderRuntime
 
-from pb_common import PARAMS, percentile
+from pb_common import PARAMS, iqm, percentile
 from pb_inputs import seed_of, churn_population
 
 P = PARAMS["bulk_embed"]
@@ -79,12 +79,12 @@ class State:
         self.tracer = None
 
 
-def _round(state, run, calls):
-    """Every partition once per family; returns (family -> seconds)."""
-    spent = {}
+def _round(state, run):
+    """Every partition once per family; returns the call times in a
+    fixed order, and whether each call's output passed."""
+    seconds, passed = [], []
     for family in FAMILIES:
         encoder = state.encoders[family]
-        total = 0.0
         for part in state.partitions[family]:
             started = time.perf_counter()
             try:
@@ -96,42 +96,52 @@ def _round(state, run, calls):
             except Exception as error:
                 run.ops(1, 1)
                 run.report.setdefault("errors", []).append(repr(error))
+                seconds.append(time.perf_counter() - started)
+                passed.append(False)
                 continue
-            elapsed = time.perf_counter() - started
-            total += elapsed
+            seconds.append(time.perf_counter() - started)
             norms = np.linalg.norm(out, axis=1)
             ok = (out.shape == (len(part), encoder.output_dim)
                   and np.isfinite(out).all()
                   and np.abs(norms - 1.0).max() < 1e-4)
             run.ops(1, 0 if ok else 1)
-            calls.append((elapsed, ok))
-        spent[family] = total
-    return spent
+            passed.append(ok)
+    return seconds, passed
 
 
 def measure(state, run, seconds, warmup):
+    """Repeat rounds for about ``seconds``; returns the pass figures.
+
+    Every round makes the same calls on the same partitions, so each
+    figure is taken from each call's interquartile mean time over the
+    rounds, which keeps a burst of host noise in a few rounds out of it.
+    """
     if warmup:
-        _round(state, run, [])
-    calls, rounds = [], []
+        _round(state, run)
+    times, passed = [], []
     started = time.perf_counter()
-    while len(rounds) < 3 or time.perf_counter() - started < seconds:
-        rounds.append(_round(state, run, calls))
-    events = {family: sum(state.events[family]) for family in FAMILIES}
-    total_events = sum(events.values())
-    call_s = np.array([c[0] for c in calls])
-    ok = np.array([c[1] for c in calls])
+    while len(times) < 3 or time.perf_counter() - started < seconds:
+        round_s, round_ok = _round(state, run)
+        times.append(round_s)
+        passed.extend(round_ok)
+    times = np.array(times)
+    unit_s = iqm(times, axis=0)
+    events = np.concatenate([state.events[family] for family in FAMILIES])
+    families = np.repeat(FAMILIES, [len(state.events[family])
+                                    for family in FAMILIES])
     limit = P["latency_limit_ms"] / 1e3
+    raw = times.ravel()
     figures = {
-        "events_per_s": float(np.median(
-            [total_events / sum(r.values()) for r in rounds])),
-        "latency_ms_p50": percentile(call_s * 1e3, 50),
-        "latency_ms_tail": percentile(call_s * 1e3, P["tail_percentile"]),
-        "slo_ratio": float(((call_s <= limit) & ok).mean()),
-        "calls": len(calls),
+        "events_per_s": float(events.sum() / unit_s.sum()),
+        "latency_ms_p50": percentile(unit_s * 1e3, 50),
+        "latency_ms_tail": percentile(unit_s * 1e3, P["tail_percentile"]),
+        "slo_ratio": float(((raw <= limit) & np.array(passed)).mean()),
+        "calls": len(unit_s),
     }
     for family in FAMILIES:
-        figures["embed_%s_events_per_s" % family] = float(np.median(
-            [events[family] / r[family] for r in rounds]))
+        mine = families == family
+        figures["embed_%s_events_per_s" % family] = float(
+            events[mine].sum() / unit_s[mine].sum())
     return figures
 
 

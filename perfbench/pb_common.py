@@ -14,10 +14,9 @@ import time
 
 import numpy as np
 
-SERVE = ("serve_skewed", "serve_out_of_core")
-
-_P, _B, _S, _O = "pretrain", "bulk_embed", "serve_skewed", "serve_out_of_core"
-_ALL = (_P, _B, _S, _O)
+_P, _B, _V = "pretrain", "bulk_embed", "serve"
+SERVE = (_V,)
+_ALL = (_P, _B, _V)
 
 #: Span-coverage guard: for each per-layer metric, the workloads on which
 #: a traced run must record a nonzero call count for it.  A metric of a
@@ -40,19 +39,19 @@ REQUIRED = {
     # bulk_embed: embed_dataset under the serving defaults
     "data.bucketing.plan_ms": (_B,),
     "data.batches.collate_ms": (_B,),
-    "runtime.engine.encode_events_ms": (_B, _S, _O),
-    "runtime.kernels.rnn_forward_gru_ms": (_B, _S, _O),
+    "runtime.engine.encode_events_ms": (_B, _V),
+    "runtime.kernels.rnn_forward_gru_ms": (_B, _V),
     "runtime.kernels.rnn_forward_lstm_ms": (_B,),
-    "runtime.engine.head_ms": (_B, _S, _O),
+    "runtime.engine.head_ms": (_B, _V),
     "runtime.attention.transformer_forward_ms": (_B,),
     "bulk_embed.batches": (_B,),
     "bulk_embed.padded_cell_ratio": (_B,),
     "bulk_embed.gru_events_per_s": (_B,),
     "bulk_embed.lstm_events_per_s": (_B,),
     "bulk_embed.transformer_events_per_s": (_B,),
-    # serve_*: AsyncIngestPipeline + EmbeddingService
+    # serve: AsyncIngestPipeline + EmbeddingService over paged state
     "serving.pipeline.submit_wait_ms": SERVE,
-    "serving.pipeline.blocked_submits": (_S,),
+    "serving.pipeline.blocked_submits": SERVE,
     "serving.pipeline.queued_events_max": SERVE,
     "serving.pipeline.queued_events_slope": SERVE,
     "serving.service.lock_wait_query_ms": SERVE,
@@ -60,8 +59,8 @@ REQUIRED = {
     "serving.service.lock_wait_flush_ms": SERVE,
     "serving.service.flush_ms": SERVE,
     "serving.service.flushes": SERVE,
-    "serving.service.stale_flush_ms": (_S,),
-    "serving.service.stale_flushes": (_S,),
+    "serving.service.stale_flush_ms": SERVE,
+    "serving.service.stale_flushes": SERVE,
     "runtime.store.advance_ms": SERVE,
     "serving.sharding.gather_ms": SERVE,
     "serving.cache.hit_ratio": SERVE,
@@ -71,9 +70,9 @@ REQUIRED = {
     "runtime.backends.get_calls": SERVE,
     "runtime.backends.put_ms": SERVE,
     "runtime.backends.put_calls": SERVE,
-    "runtime.backends.shard_loads": (_O,),
-    "runtime.backends.evictions": (_O,),
-    "runtime.backends.shard_hit_ratio": (_O,),
+    "runtime.backends.shard_loads": SERVE,
+    "runtime.backends.evictions": SERVE,
+    "runtime.backends.shard_hit_ratio": SERVE,
     "serving.state_bytes_per_entity": SERVE,
     "serving.queries": SERVE,
     "loadgen.late_ms_p99": SERVE,
@@ -89,10 +88,10 @@ REQUIRED = {
 PARAMS = {
     "pretrain": {
         "population": 480, "length_median": 40, "length_sigma": 0.9,
-        "length_min": 8, "length_max": 256, "hidden": 48, "epochs": 2,
+        "length_min": 8, "length_max": 256, "hidden": 128, "epochs": 2,
         "slice_min": 10, "slice_max": 100, "slices": 5,
-        "tail_percentile": 95, "latency_limit_ms": 100.0,
-        "setup_repeats": 9,
+        "tail_percentile": 95, "latency_limit_ms": 250.0,
+        "setup_repeats": 15,
     },
     "bulk_embed": {
         "population": 4096, "length_median": 40, "length_sigma": 0.9,
@@ -102,28 +101,15 @@ PARAMS = {
         "tail_percentile": 90, "latency_limit_ms": 150.0,
         "setup_repeats": 5,
     },
-    "serve_skewed": {
+    "serve": {
         "population": 100_000, "length_median": 4, "length_sigma": 1.0,
         "length_min": 1, "length_max": 128, "hidden": 48,
-        "backend": "dict", "codec": None, "zipf": 1.05,
+        "backend": "memmap", "codec": "int8", "zipf": 1.05,
         "chunk_min": 2, "chunk_max": 6, "chunk_gap": 0.05,
-        "capacity_reps": 10, "capacity_events": 60_000,
-        "offered_events_per_s": 25_000.0, "offered_queries_per_s": 200.0,
-        "query_ids": 16, "min_queries": 2000,
-        "latency_limit_ms": 12.0, "max_pending_events": 8192,
-        "late_fraction_limit": 0.5, "backlog_growth_limit": 0.25,
-        "drift_atol": 1e-5, "check_sample": 32,
-        "tail_percentile": 95, "setup_repeats": 3,
-    },
-    "serve_out_of_core": {
-        "population": 100_000, "length_median": 4, "length_sigma": 1.0,
-        "length_min": 1, "length_max": 128, "hidden": 48,
-        "backend": "memmap", "codec": "int8", "zipf": 0.0,
-        "chunk_min": 2, "chunk_max": 6, "chunk_gap": 0.05,
-        "capacity_reps": 4, "capacity_events": 2000,
-        "offered_events_per_s": 350.0, "offered_queries_per_s": 100.0,
-        "query_ids": 4, "min_queries": 1500,
-        "latency_limit_ms": 300.0, "max_pending_events": 8192,
+        "capacity_reps": 10, "capacity_events": 2000,
+        "offered_events_per_s": 150.0, "offered_queries_per_s": 100.0,
+        "query_ids": 4, "min_queries": 2000,
+        "latency_limit_ms": 50.0, "max_pending_events": 1024,
         "late_fraction_limit": 0.5, "backlog_growth_limit": 0.25,
         "drift_atol": 0.05, "check_sample": 32,
         "tail_percentile": 95, "setup_repeats": 3,
@@ -176,6 +162,24 @@ def median_setup(build, repeats):
         result, seconds = timed(build, index)
         times.append(seconds)
     return result, float(np.median(times))
+
+
+def iqm(values, axis=None):
+    """Interquartile mean: the mean of the middle half of ``values``
+    (along ``axis``), without the lowest and the highest quarter.
+
+    On a shared host the CPU switches between faster and slower states
+    within a run.  A median snaps to whichever state held more than half
+    of the samples, so runs split into two clusters; a plain mean
+    follows every stall.  The interquartile mean does neither.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if axis is None:
+        values, axis = values.ravel(), 0
+    values = np.sort(values, axis=axis)
+    count = values.shape[axis]
+    cut = count // 4
+    return np.take(values, range(cut, count - cut), axis=axis).mean(axis=axis)
 
 
 def percentile(values, q):

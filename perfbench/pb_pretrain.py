@@ -22,7 +22,7 @@ from repro.encoders import build_encoder
 from repro.losses import ContrastiveLoss
 from repro.nn.optim import Adam
 
-from pb_common import PARAMS, percentile, timed
+from pb_common import PARAMS, iqm, percentile
 from pb_inputs import seed_of, churn_population
 
 P = PARAMS["pretrain"]
@@ -47,10 +47,14 @@ class State:
 
 
 def _fit_once(state, steps):
-    """One ``fit``; appends (seconds, events, padded cells, loss) per step."""
+    """One ``fit``; appends (interval s, step s, events, padded cells,
+    loss) per step.  The interval runs from the end of the step before
+    (or the start of ``fit``), so it also covers augmentation, planning
+    and collate, and the intervals of a ``fit`` add up to its time."""
     trainer = state.trainer()
     original = trainer.train_step
     tracer = state.tracer
+    last = [0.0]
 
     def train_step(batch, optimizer, rng):
         started = time.perf_counter()
@@ -59,48 +63,61 @@ def _fit_once(state, steps):
         else:
             with tracer.span("core.trainer.train_step"):
                 loss = original(batch, optimizer, rng)
-        steps.append((time.perf_counter() - started,
-                       int(batch.lengths.sum()),
-                       int(batch.lengths.size * batch.max_length), loss))
+        ended = time.perf_counter()
+        steps.append((ended - last[0], ended - started,
+                      int(batch.lengths.sum()),
+                      int(batch.lengths.size * batch.max_length), loss))
+        last[0] = ended
         return loss
 
     trainer.train_step = train_step
+    last[0] = time.perf_counter()
     if tracer is None:
-        history, seconds = timed(trainer.fit, state.dataset)
+        history = trainer.fit(state.dataset)
     else:
         with tracer.span("core.trainer.fit"):
-            history, seconds = timed(trainer.fit, state.dataset)
-    return [stats.mean_loss for stats in history], seconds
+            history = trainer.fit(state.dataset)
+    return [stats.mean_loss for stats in history]
 
 
 def measure(state, run, seconds, warmup):
-    """Repeat ``fit`` for about ``seconds``; returns the pass figures."""
+    """Repeat ``fit`` for about ``seconds``; returns the pass figures.
+
+    Every repetition trains on the same batches, so step ``k`` does the
+    same work in each; a figure is taken from each step's interquartile
+    mean over the repetitions, which keeps a burst of host noise in a
+    few repetitions out of it.
+    """
     if warmup:
-        state.histories.append(_fit_once(state, [])[0])
-    rates, steps = [], []
+        state.histories.append(_fit_once(state, []))
+    reps, attempts = [], 0
     started = time.perf_counter()
-    while len(rates) < 3 or time.perf_counter() - started < seconds:
+    while attempts < 3 or time.perf_counter() - started < seconds:
+        attempts += 1
         rep_steps = []
         try:
-            losses, elapsed = _fit_once(state, rep_steps)
+            losses = _fit_once(state, rep_steps)
         except Exception as error:  # a failed fit is one failed operation
             run.ops(len(rep_steps) + 1, 1)
             run.report.setdefault("errors", []).append(repr(error))
             continue
         state.histories.append(losses)
-        steps.extend(rep_steps)
-        rates.append(sum(s[1] for s in rep_steps) / elapsed)
-    step_s = np.array([s[0] for s in steps])
-    finite = np.isfinite([s[3] for s in steps])
+        reps.append(rep_steps)
+    steps = [step for rep in reps for step in rep]
+    step_s = np.array([s[1] for s in steps])
+    finite = np.isfinite([s[4] for s in steps])
     run.ops(len(steps), int((~finite).sum()))
+    same = [rep for rep in reps if len(rep) == len(reps[0])]
+    interval = iqm([[s[0] for s in rep] for rep in same], axis=0)
+    unit_s = iqm([[s[1] for s in rep] for rep in same], axis=0)
     limit = P["latency_limit_ms"] / 1e3
     return {
-        "events_per_s": float(np.median(rates)),
-        "latency_ms_p50": percentile(step_s * 1e3, 50),
-        "latency_ms_tail": percentile(step_s * 1e3, P["tail_percentile"]),
+        "events_per_s": sum(s[2] for s in reps[0]) / float(interval.sum()),
+        "latency_ms_p50": percentile(unit_s * 1e3, 50),
+        "latency_ms_tail": percentile(unit_s * 1e3, P["tail_percentile"]),
         "slo_ratio": float(((step_s <= limit) & finite).mean()),
         "steps": steps,
-        "reps": len(rates),
+        "units": len(unit_s),
     }
 
 
@@ -163,7 +180,7 @@ def named_metrics(figures, setup_s):
                               "unit": "ms"},
         "train_step_ms_p%d" % P["tail_percentile"]: {
             "value": figures["latency_ms_tail"], "unit": "ms",
-            "samples": len(figures["steps"])},
+            "samples": figures["units"]},
         "train_step_slo_ratio": {"value": figures["slo_ratio"],
                                  "unit": "ratio"},
     }
@@ -176,9 +193,9 @@ def layers(tracer, state, traced, untraced):
     steps = traced["steps"]
     return {
         "pretrain.steps": len(steps),
-        "pretrain.events": sum(s[1] for s in steps),
-        "pretrain.padded_cell_ratio": (sum(s[1] for s in steps)
-                                       / max(1, sum(s[2] for s in steps))),
+        "pretrain.events": sum(s[2] for s in steps),
+        "pretrain.padded_cell_ratio": (sum(s[2] for s in steps)
+                                       / max(1, sum(s[3] for s in steps))),
         "pretrain.loss_final": state.histories[0][-1],
     }, {
         "pretrain.steps": len(steps),

@@ -3,13 +3,13 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload serve_skewed --seed 3 \
+    python3 perfbench/run.py --workload serve --seed 3 \
         --seconds 12 --trace 0
 
-Workloads: ``pretrain``, ``bulk_embed``, ``serve_skewed``,
-``serve_out_of_core`` (see ``perfbench/README.md``).  The program is
-imported from ``src/`` next to this directory and nowhere else; without
-it the run fails before measuring anything.
+Workloads: ``pretrain``, ``bulk_embed`` and ``serve`` (see
+``perfbench/README.md``).  The program is imported from ``src/`` next to
+this directory and nowhere else; without it the run fails before
+measuring anything.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` measures an
 untraced pass, then installs span-recording wrappers and measures a
@@ -102,7 +102,7 @@ def main(argv=None):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    # One BLAS thread: the serve workloads already run three threads on
+    # One BLAS thread: the serve workload already runs three threads on
     # small GEMMs, and a BLAS pool would compete with them for the same
     # few CPUs.  Set before numpy loads.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
