@@ -16,14 +16,15 @@ The module follows the same three contracts as the recurrent kernels:
   :func:`transformer_plan_matches` invalidates on parameter-buffer
   identity exactly like :func:`repro.runtime.kernels.plan_matches`;
 - **precision policy** — plans carry the ``"float32"``/``"float64"``
-  compute dtype; float64 preserves the Tensor-engine op order and is the
-  parity reference (< 1e-10 forward, < 1e-8 gradients, property-tested
-  by ``tests/runtime/test_fused_transformer.py``);
-- **training parity** — the train forward mirrors the autograd path's
-  dropout draws (same rng objects, same draw order) and the backward
-  reproduces autograd's ``masked_fill`` semantics (no gradient through
-  masked score positions), so both engines walk identical optimisation
-  trajectories.
+  compute dtype and the two policies differ only in dtype; float64 is
+  the parity reference (< 1e-10 forward, < 1e-8 gradients,
+  property-tested by ``tests/runtime/test_fused_transformer.py``);
+- **training parity** — :func:`transformer_forward` with ``train=True``
+  mirrors the autograd path's dropout draws (same rng objects, same
+  draw order) and keeps the activations the backward needs; the
+  backward reproduces autograd's ``masked_fill`` semantics (no gradient
+  through masked score positions), so both engines walk identical
+  optimisation trajectories.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "transformer_plan_matches",
     "transformer_parameters",
     "transformer_forward",
-    "transformer_forward_train",
     "transformer_backward",
 ]
 
@@ -311,14 +311,14 @@ def _pool_weights(mask, batch, steps, dtype):
     return weights.astype(dtype, copy=False)
 
 
-def _keep_mask(module, shape, dtype):
+def _keep_mask(module, shape, dtype, train):
     """One inverted-dropout keep mask, drawn exactly like ``F.dropout``.
 
-    Returns None when the module is in eval mode or ``p <= 0`` — i.e.
-    when the autograd path would not consume an rng draw either, so the
-    two engines stay stream-aligned.
+    Returns None outside a training forward, or when the module is in
+    eval mode or ``p <= 0`` — i.e. when the autograd path would not
+    consume an rng draw either, so the two engines stay stream-aligned.
     """
-    if not module.training or module.p <= 0.0:
+    if not (train and module.training) or module.p <= 0.0:
         return None
     keep = (module.rng.random(shape) >= module.p) / (1.0 - module.p)
     return keep.astype(dtype, copy=False)
@@ -330,51 +330,7 @@ def _apply_keep(x, keep):
 
 
 # ----------------------------------------------------------------------
-# forward (inference)
-# ----------------------------------------------------------------------
-
-def transformer_forward(plan, x, mask=None):
-    """Eval-mode fused forward over event representations.
-
-    ``x`` is the ``(B, T, D_trx)`` trx-encoder output (policy dtype);
-    ``mask`` is the ``(B, T)`` boolean key-padding mask (True marks real
-    events).  Returns ``(states, pooled)`` — per-position states after
-    the final LayerNorm and the masked-mean pooled embedding *before*
-    the normalisation head — matching the Tensor path's
-    ``TransformerSeqEncoder.forward`` to < 1e-10 in float64.  Dropout is
-    never applied (eval semantics, like the recurrent kernels' use of
-    batch-norm running statistics).
-    """
-    batch, steps, _ = x.shape
-    h = x @ plan.in_t + plan.in_b
-    h += plan.positional(steps)
-    pad = None if mask is None else ~np.asarray(mask, dtype=bool)
-    for layer in plan.layers:
-        normed, _, _ = _layer_norm(h, layer.ln1_w, layer.ln1_b, plan.ln_eps)
-        qkv = normed @ layer.qkv_t + layer.qkv_b
-        q = _split_heads(qkv[..., :plan.dim], plan.num_heads, plan.head_dim)
-        k = _split_heads(qkv[..., plan.dim:2 * plan.dim], plan.num_heads,
-                         plan.head_dim)
-        v = _split_heads(qkv[..., 2 * plan.dim:], plan.num_heads,
-                         plan.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * plan.scale
-        if pad is not None:
-            scores = np.where(pad[:, None, None, :],
-                              scores.dtype.type(MASK_FILL), scores)
-        attn = _softmax(scores)
-        merged = _merge_heads(attn @ v)
-        h = h + (merged @ layer.out_t + layer.out_b)
-        normed, _, _ = _layer_norm(h, layer.ln2_w, layer.ln2_b, plan.ln_eps)
-        hidden = _gelu(normed @ layer.ff1_t + layer.ff1_b)
-        h = h + (hidden @ layer.ff2_t + layer.ff2_b)
-    states, _, _ = _layer_norm(h, plan.final_w, plan.final_b, plan.ln_eps)
-    weights = _pool_weights(mask, batch, steps, plan.dtype)
-    pooled = (states * weights[:, :, None]).sum(axis=1)
-    return states, pooled
-
-
-# ----------------------------------------------------------------------
-# forward (training) + backward
+# forward (eval and training) + backward
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -426,18 +382,77 @@ class TransformerTrainCache:
         self.last = self.pooled
 
 
-def transformer_forward_train(plan, x, mask=None):
-    """Training-mode fused forward; returns a :class:`TransformerTrainCache`.
+def _attention_block(plan, layer, module, h0, pad, train):
+    """``h0 + dropout(out(attention(norm1(h0))))``; returns ``(h1, fields)``.
 
-    ``x`` is the ``(B, T, D)`` event-representation array in the plan's
-    dtype and ``mask`` an optional ``(B, T)`` boolean validity array.
-    Identical math to :func:`transformer_forward` plus the dropout draws
-    of the autograd path: each active :class:`~repro.nn.Dropout` module
-    of the live stack (``plan.module``) consumes one ``rng.random`` draw
-    per application, in the exact order the Tensor path consumes them
-    (attention probabilities, attention residual, feed-forward residual,
-    per layer) — so with shared rng state both engines compute identical
-    activations.
+    ``fields`` are this block's :class:`_LayerCache` entries under
+    ``train`` and None otherwise.  Each block runs in its own frame, so
+    an eval forward frees a block's intermediates before the next block
+    allocates.
+    """
+    normed, xhat1, istd1 = _layer_norm(h0, layer.ln1_w, layer.ln1_b,
+                                       plan.ln_eps)
+    qkv = normed @ layer.qkv_t + layer.qkv_b
+    q = _split_heads(qkv[..., :plan.dim], plan.num_heads, plan.head_dim)
+    k = _split_heads(qkv[..., plan.dim:2 * plan.dim], plan.num_heads,
+                     plan.head_dim)
+    v = _split_heads(qkv[..., 2 * plan.dim:], plan.num_heads, plan.head_dim)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * plan.scale
+    if pad is not None:
+        scores = np.where(pad[:, None, None, :],
+                          scores.dtype.type(MASK_FILL), scores)
+    attn = _softmax(scores)
+    attn_keep = _keep_mask(module.attention.dropout, attn.shape, plan.dtype,
+                           train)
+    attn_used = _apply_keep(attn, attn_keep)
+    merged = _merge_heads(attn_used @ v)
+    projected = merged @ layer.out_t + layer.out_b
+    proj_keep = _keep_mask(module.dropout, projected.shape, plan.dtype, train)
+    h1 = h0 + _apply_keep(projected, proj_keep)
+    if not train:
+        return h1, None
+    return h1, dict(h0=h0, xhat1=xhat1, istd1=istd1, q=q, k=k, v=v,
+                    attn=attn, attn_keep=attn_keep, attn_used=attn_used,
+                    merged=merged, proj_keep=proj_keep)
+
+
+def _feed_forward_block(plan, layer, module, h1, train):
+    """``h1 + dropout(ff2(gelu(ff1(norm2(h1)))))``; returns ``(h, fields)``.
+
+    The feed-forward counterpart of :func:`_attention_block`.
+    """
+    normed, xhat2, istd2 = _layer_norm(h1, layer.ln2_w, layer.ln2_b,
+                                       plan.ln_eps)
+    ff_pre = normed @ layer.ff1_t + layer.ff1_b
+    ff_act = _gelu(ff_pre)
+    hidden = ff_act @ layer.ff2_t + layer.ff2_b
+    hid_keep = _keep_mask(module.dropout, hidden.shape, plan.dtype, train)
+    h = h1 + _apply_keep(hidden, hid_keep)
+    if not train:
+        return h, None
+    return h, dict(h1=h1, xhat2=xhat2, istd2=istd2, ff_pre=ff_pre,
+                   ff_act=ff_act, hid_keep=hid_keep)
+
+
+def transformer_forward(plan, x, mask=None, train=False):
+    """Fused forward over event representations.
+
+    ``x`` is the ``(B, T, D_trx)`` trx-encoder output (policy dtype);
+    ``mask`` is the ``(B, T)`` boolean key-padding mask (True marks real
+    events).  By default (eval semantics) returns ``(states, pooled)`` —
+    per-position states after the final LayerNorm and the masked-mean
+    pooled embedding *before* the normalisation head — matching the
+    Tensor path's ``TransformerSeqEncoder.forward`` to < 1e-10 in
+    float64.  Dropout is never applied and nothing is retained.
+
+    ``train=True`` runs the same math plus the dropout draws of the
+    autograd path and returns a :class:`TransformerTrainCache` for
+    :func:`transformer_backward`: each active :class:`~repro.nn.Dropout`
+    module of the live stack (``plan.module``) consumes one
+    ``rng.random`` draw per application, in the exact order the Tensor
+    path consumes them (attention probabilities, attention residual,
+    feed-forward residual, per layer) — so with shared rng state both
+    engines compute identical activations.
     """
     batch, steps, _ = x.shape
     h = x @ plan.in_t + plan.in_b
@@ -445,44 +460,16 @@ def transformer_forward_train(plan, x, mask=None):
     pad = None if mask is None else ~np.asarray(mask, dtype=bool)
     caches = []
     for layer, module in zip(plan.layers, plan.module.layers):
-        h0 = h
-        normed, xhat1, istd1 = _layer_norm(h0, layer.ln1_w, layer.ln1_b,
-                                           plan.ln_eps)
-        qkv = normed @ layer.qkv_t + layer.qkv_b
-        q = _split_heads(qkv[..., :plan.dim], plan.num_heads, plan.head_dim)
-        k = _split_heads(qkv[..., plan.dim:2 * plan.dim], plan.num_heads,
-                         plan.head_dim)
-        v = _split_heads(qkv[..., 2 * plan.dim:], plan.num_heads,
-                         plan.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * plan.scale
-        if pad is not None:
-            scores = np.where(pad[:, None, None, :],
-                              scores.dtype.type(MASK_FILL), scores)
-        attn = _softmax(scores)
-        attn_keep = _keep_mask(module.attention.dropout, attn.shape,
-                               plan.dtype)
-        attn_used = _apply_keep(attn, attn_keep)
-        merged = _merge_heads(attn_used @ v)
-        projected = merged @ layer.out_t + layer.out_b
-        proj_keep = _keep_mask(module.dropout, projected.shape, plan.dtype)
-        h1 = h0 + _apply_keep(projected, proj_keep)
-        normed2, xhat2, istd2 = _layer_norm(h1, layer.ln2_w, layer.ln2_b,
-                                            plan.ln_eps)
-        ff_pre = normed2 @ layer.ff1_t + layer.ff1_b
-        ff_act = _gelu(ff_pre)
-        hidden = ff_act @ layer.ff2_t + layer.ff2_b
-        hid_keep = _keep_mask(module.dropout, hidden.shape, plan.dtype)
-        h = h1 + _apply_keep(hidden, hid_keep)
-        caches.append(_LayerCache(
-            h0=h0, xhat1=xhat1, istd1=istd1, q=q, k=k, v=v, attn=attn,
-            attn_keep=attn_keep, attn_used=attn_used, merged=merged,
-            proj_keep=proj_keep, h1=h1, xhat2=xhat2, istd2=istd2,
-            ff_pre=ff_pre, ff_act=ff_act, hid_keep=hid_keep,
-        ))
+        h, attn_fields = _attention_block(plan, layer, module, h, pad, train)
+        h, ff_fields = _feed_forward_block(plan, layer, module, h, train)
+        if train:
+            caches.append(_LayerCache(**attn_fields, **ff_fields))
     states, xhat_f, istd_f = _layer_norm(h, plan.final_w, plan.final_b,
                                          plan.ln_eps)
     pool_w = _pool_weights(mask, batch, steps, plan.dtype)
     pooled = (states * pool_w[:, :, None]).sum(axis=1)
+    if not train:
+        return states, pooled
     return TransformerTrainCache(
         x=x, mask=mask, pad=pad, layer_caches=caches,
         xhat_f=xhat_f, istd_f=istd_f, states=states, pool_w=pool_w,
@@ -504,7 +491,7 @@ def _linear_backward(d_out, x_in, w_t, grads, name):
 
 
 def transformer_backward(plan, cache, d_pooled, d_states=None):
-    """Hand-derived reverse pass of :func:`transformer_forward_train`.
+    """Hand-derived reverse pass of a ``train=True`` :func:`transformer_forward`.
 
     ``d_pooled`` is dLoss/dPooled ``(B, D)`` (pre-head, what
     :class:`~repro.runtime.FusedTrainStep` produces after the

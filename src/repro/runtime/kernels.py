@@ -15,16 +15,13 @@ and per timestep.  These kernels drop to raw numpy instead:
 
 **Precision policy.**  Every kernel consumes a :class:`WeightPlan` — the
 per-weight work (dtype cast, transposes, bias folding) precomputed once
-per ``CellWeights`` generation:
-
-- ``float64`` plans preserve the historical op order exactly (biases stay
-  per-step), so results match the Tensor path to float64 rounding
-  (< 1e-10) and gradients to < 1e-8 — the parity-test reference;
-- ``float32`` plans additionally fold the recurrent bias into the input
-  projection where algebraically exact (all LSTM gates; the GRU r/z
-  gates — the n-gate bias must stay inside the reset multiply), halving
-  bytes per GEMM for ~2x throughput at a property-bounded drift vs the
-  float64 reference.
+per ``CellWeights`` generation.  The ``float32`` and ``float64`` policies
+differ only in dtype: both fold the recurrent bias into the input
+projection where algebraically exact (all LSTM gates; the GRU r/z gates —
+the n-gate bias must stay inside the reset multiply) and run the same op
+order.  float64 results match the Tensor path to < 1e-10 and gradients to
+< 1e-8 (the parity-test reference); float32 halves the bytes per GEMM for
+~2x throughput at a property-bounded drift vs float64.
 
 A raw :class:`~repro.nn.CellWeights` passed where a plan is expected is
 promoted to a float64 plan on the fly (:func:`as_plan`), so direct kernel
@@ -33,19 +30,17 @@ source parameter buffers; :func:`plan_matches` detects optimiser steps
 (optimisers rebind ``param.data``) so cached plans are rebuilt exactly
 when the weights change.
 
-Two kernel families share those tricks:
-
-- **inference**: :func:`gru_forward` / :func:`lstm_forward` /
-  :func:`rnn_forward` and :func:`encode_events` — forward only, nothing
-  retained;
-- **training**: :func:`gru_forward_train` / :func:`lstm_forward_train`
-  stash the per-step activations a backward pass needs (time-major, in
-  the plan dtype), and :func:`gru_backward` / :func:`lstm_backward` run
-  hand-derived BPTT over that cache — loss gradient in, weight gradients
-  out, no graph ever built.  Per-gate input gradients accumulate into one
-  time-major buffer so the weight_ih/bias_ih/input gradients are three
-  fused matmuls at the end, mirroring the fused input projection of the
-  forward.
+Each cell has one recurrence loop behind two entry points:
+:func:`rnn_forward` (inference — nothing retained beyond the optional
+per-step states) and :func:`rnn_forward_train`, which additionally
+stashes the per-step activations a backward pass needs (time-major, in
+the plan dtype).  :func:`rnn_backward` runs hand-derived BPTT over that
+cache — loss gradient in, weight gradients out, no graph ever built.
+Per-gate input gradients accumulate into one time-major buffer so the
+weight_ih/bias_ih/input gradients are three fused matmuls at the end,
+mirroring the fused input projection of the forward.
+:func:`encode_events` / :func:`encode_events_train` share one event
+encoding pipeline the same way.
 
 Weight layout is *not* re-declared here: plans are built from the
 :class:`~repro.nn.CellWeights` view exported by the ``nn.rnn`` modules.
@@ -71,17 +66,11 @@ __all__ = [
     "build_encode_plan",
     "encode_plan_matches",
     "rnn_forward",
-    "gru_forward",
-    "lstm_forward",
     "encode_events",
     "encode_events_train",
     "RnnTrainCache",
     "rnn_forward_train",
-    "gru_forward_train",
-    "lstm_forward_train",
     "rnn_backward",
-    "gru_backward",
-    "lstm_backward",
 ]
 
 #: The two supported compute dtypes of the precision policy.
@@ -137,8 +126,11 @@ def sigmoid(x, out=None):
     # result 1.0 downstream — so a single-sided cap gives bit-identical
     # values to a symmetric clip with one fewer ufunc dispatch.  This
     # runs once per timestep on the serving hot path, where np.clip's
-    # python wrapper was measurable.
-    out = np.negative(x, out=out)
+    # python wrapper was measurable.  The negation is a multiply by
+    # -1.0 (exact, signed zeros included): numpy 2.4's in-place
+    # ``np.negative`` misreads single-column strided views such as an
+    # ``(B, 1)`` gate slice of a wider buffer.
+    out = np.multiply(x, -1.0, out=out)
     np.minimum(out, _SIGMOID_CLIP, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -184,10 +176,10 @@ class WeightPlan:
     exactly the granularity at which the optimisers invalidate weights
     (they rebind ``param.data`` rather than writing in place).
 
-    Bias handling is dtype-dependent (see the module docstring):
-    ``bias_step`` is the full per-step recurrent bias for float64 plans
-    (None when folded), ``b_hn`` is the GRU n-gate recurrent bias kept
-    per-step under float32 folding (None otherwise).
+    ``bias_x`` carries the input bias plus every recurrent bias that
+    folds exactly (see the module docstring); ``b_hn`` is the GRU n-gate
+    recurrent bias, kept per-step inside the reset multiply (None for
+    LSTM, whose recurrent bias folds entirely).
     """
 
     kind: str                 # "gru" | "lstm"
@@ -195,8 +187,7 @@ class WeightPlan:
     dtype: np.dtype
     w_ih_t: np.ndarray        # (D, G*H) contiguous, policy dtype
     w_hh_t: np.ndarray        # (H, G*H) contiguous, policy dtype
-    bias_x: np.ndarray        # (G*H,) input-side bias (+ folded parts)
-    bias_step: np.ndarray     # (G*H,) per-step recurrent bias, or None
+    bias_x: np.ndarray        # (G*H,) input-side bias + folded parts
     b_hn: np.ndarray          # (H,) GRU n-gate recurrent bias, or None
     init_state: np.ndarray    # (H,) policy dtype
     init_cell: np.ndarray = None   # (H,) policy dtype, LSTM only
@@ -224,25 +215,19 @@ def build_weight_plan(weights, precision="float64"):
 
     ``weights`` is a :class:`~repro.nn.CellWeights` view of the live
     float64 parameter buffers; the plan stores pre-cast, pre-transposed
-    copies in the ``precision`` dtype.  ``float64`` keeps the recurrent
-    bias per-step (historical op order, bit-comparable to the Tensor
-    path); ``float32`` folds it into the input projection where exact
-    (everything except the GRU n-gate).
+    copies in the ``precision`` dtype, with the recurrent bias folded into
+    the input projection where exact (everything except the GRU n-gate).
     """
     dtype = resolve_precision(precision)
     size = weights.hidden_size
-    fold = dtype == np.dtype(np.float32)
-    bias_x = np.asarray(weights.bias_ih, dtype=dtype)
-    bias_step = np.asarray(weights.bias_hh, dtype=dtype)
+    bias_x = np.array(weights.bias_ih, dtype=dtype, copy=True)
+    bias_hh = np.asarray(weights.bias_hh, dtype=dtype)
     b_hn = None
-    if fold:
-        bias_x = bias_x.copy()
-        if weights.kind == "gru":
-            bias_x[:2 * size] += bias_step[:2 * size]
-            b_hn = np.ascontiguousarray(bias_step[2 * size:])
-        else:
-            bias_x += bias_step
-        bias_step = None
+    if weights.kind == "gru":
+        bias_x[:2 * size] += bias_hh[:2 * size]
+        b_hn = np.ascontiguousarray(bias_hh[2 * size:])
+    else:
+        bias_x += bias_hh
     return WeightPlan(
         kind=weights.kind,
         hidden_size=size,
@@ -250,7 +235,6 @@ def build_weight_plan(weights, precision="float64"):
         w_ih_t=np.ascontiguousarray(weights.weight_ih.T, dtype=dtype),
         w_hh_t=np.ascontiguousarray(weights.weight_hh.T, dtype=dtype),
         bias_x=bias_x,
-        bias_step=bias_step,
         b_hn=b_hn,
         init_state=np.ascontiguousarray(weights.init_state, dtype=dtype),
         init_cell=(None if weights.init_cell is None else
@@ -275,16 +259,16 @@ def plan_matches(plan, weights):
     return all(a is b for a, b in zip(plan.sources, current))
 
 
-def as_plan(weights, precision=None):
+def as_plan(weights):
     """Promote a :class:`~repro.nn.CellWeights` to a plan (pass plans through).
 
-    Raw weights default to a **float64** plan — direct kernel callers
-    (the parity tests) keep reference semantics without opting in to a
+    Raw weights become a **float64** plan — direct kernel callers (the
+    parity tests) keep reference semantics without opting in to a
     precision policy.
     """
     if isinstance(weights, WeightPlan):
         return weights
-    return build_weight_plan(weights, precision or "float64")
+    return build_weight_plan(weights)
 
 
 # ----------------------------------------------------------------------
@@ -362,16 +346,11 @@ def _plan_input_gates(plan, x):
     return gates.reshape(steps, batch, -1)
 
 
-def _initial(vector, batch, dtype=np.float64):
-    """Broadcast a learnt ``(H,)`` initial state to a ``(B, H)`` buffer."""
-    return np.tile(np.asarray(vector, dtype=dtype), (batch, 1))
-
-
-def _initial_hidden(plan, batch, initial):
-    """The caller's initial state (cast+copied) or the learnt c_0."""
+def _initial_buffer(learnt, batch, initial, dtype):
+    """The caller's initial state (cast + copied) or the learnt one tiled."""
     if initial is not None:
-        return np.array(initial, dtype=plan.dtype, copy=True)
-    return np.tile(plan.init_state, (batch, 1))
+        return np.array(initial, dtype=dtype, copy=True)
+    return np.tile(learnt, (batch, 1))
 
 
 def _active_counts(lengths, steps):
@@ -396,13 +375,215 @@ def _mask_from_lengths(lengths, steps):
             < np.asarray(lengths, dtype=np.intp)[:, None])
 
 
+def _schedule(lengths, mask, steps):
+    """The step schedule of a forward: ``(counts, mask)``.
+
+    ``counts`` (per-step active rows) selects the packed path when
+    ``lengths`` is sorted longest-first; otherwise ``mask`` — the
+    caller's, or one derived from ``lengths`` — selects mask-freezing.
+    With neither, every row runs every step.
+    """
+    counts = _active_counts(lengths, steps)
+    if counts is None and lengths is not None and mask is None:
+        mask = _mask_from_lengths(lengths, steps)
+    return counts, mask
+
+
 # ----------------------------------------------------------------------
-# inference forwards
+# forwards: one recurrence loop per cell, activation cache on request
 # ----------------------------------------------------------------------
 
-def gru_forward(weights, x, lengths=None, mask=None, initial=None,
+def _gru_loop(plan, x, lengths, mask, initial, keep_states, train):
+    """The one GRU loop behind :func:`rnn_forward`/:func:`rnn_forward_train`.
+
+    Returns ``(states, last, stash)``: ``states`` is the time-major
+    ``(T, B, H)`` per-step state buffer (None unless ``keep_states``),
+    ``last`` the final ``(B, H)`` state, and ``stash`` the
+    :class:`RnnTrainCache` fields BPTT needs (None unless ``train``).
+    Both modes run the same op sequence, so they agree bit for bit.
+    """
+    dt = plan.dtype
+    batch, steps, _ = x.shape
+    size = plan.hidden_size
+    two = 2 * size
+    counts, mask = _schedule(lengths, mask, steps)
+    count_list = None if counts is None else counts.tolist()
+    freeze = count_list is None and mask is not None
+    gates_x = _plan_input_gates(plan, x)
+    hidden = _initial_buffer(plan.init_state, batch, initial, dt)
+    states = (np.empty((steps, batch, size), dtype=dt)
+              if keep_states else None)
+    stash = None
+    if train:
+        gates = np.empty((steps, batch, 3 * size), dtype=dt)
+        gate_hidden = np.empty((steps, batch, size), dtype=dt)
+        stash = dict(gates=gates, gate_hidden=gate_hidden,
+                     hidden_0=hidden.copy(), counts=counts, mask=mask)
+    else:
+        # Contiguous per-block scratch: elementwise ufuncs over a column
+        # slice of a wider buffer run one short inner loop per row.
+        rz_buf = np.empty((batch, two), dtype=dt)
+        cand_buf = np.empty((batch, size), dtype=dt)
+    gh = np.empty((batch, 3 * size), dtype=dt)
+    new_h = np.empty((batch, size), dtype=dt) if freeze else None
+    # Hoisted loop invariants: attribute loads are measurable at one
+    # python-level iteration per timestep.
+    w_hh_t = plan.w_hh_t
+    b_hn = plan.b_hn
+    for t in range(steps):
+        active = batch if count_list is None else count_list[t]
+        if active == 0:
+            if states is not None:
+                states[t:] = hidden
+            break
+        h_act = hidden[:active]
+        gx = gates_x[t, :active]
+        gh_a = gh[:active]
+        np.dot(h_act, w_hh_t, out=gh_a)
+        if train:
+            rz = gates[t, :active, :two]
+            candidate = gates[t, :active, two:]
+        else:
+            rz = rz_buf[:active]
+            candidate = cand_buf[:active]
+        # One sigmoid over the adjacent (r, z) block — identical
+        # elementwise values, half the ufunc dispatches.
+        np.add(gx[:, :two], gh_a[:, :two], out=rz)
+        sigmoid(rz, out=rz)
+        reset = rz[:, :size]
+        update = rz[:, size:]
+        ghn = gh_a[:, two:]
+        ghn += b_hn
+        if train:
+            gate_hidden[t, :active] = ghn
+        np.multiply(ghn, reset, out=candidate)
+        candidate += gx[:, two:]
+        np.tanh(candidate, out=candidate)
+        # new_h = candidate + update * (h_prev - candidate).  Staged in
+        # scratch under mask-freezing; on the packed path written straight
+        # into the step's state row, or over h_prev itself when no states
+        # are kept (the recurrent GEMM above was its last read).
+        if freeze:
+            out_h = new_h[:active]
+        elif states is not None:
+            out_h = states[t, :active]
+        else:
+            out_h = h_act
+        np.subtract(h_act, candidate, out=out_h)
+        out_h *= update
+        out_h += candidate
+        if freeze:
+            np.copyto(hidden, out_h, where=mask[:, t:t + 1])
+            if states is not None:
+                states[t] = hidden
+        elif states is not None:
+            if active < batch:
+                states[t, active:] = hidden[active:]
+            hidden = states[t]
+    return states, hidden, stash
+
+
+def _lstm_loop(plan, x, lengths, mask, initial, keep_states, train):
+    """The one LSTM loop; :func:`_gru_loop` with ``(h, c)`` state pairs."""
+    dt = plan.dtype
+    batch, steps, _ = x.shape
+    size = plan.hidden_size
+    two, three = 2 * size, 3 * size
+    counts, mask = _schedule(lengths, mask, steps)
+    count_list = None if counts is None else counts.tolist()
+    freeze = count_list is None and mask is not None
+    gates_x = _plan_input_gates(plan, x)
+    h_init, c_init = (None, None) if initial is None else initial
+    hidden = _initial_buffer(plan.init_state, batch, h_init, dt)
+    cell = _initial_buffer(plan.init_cell, batch, c_init, dt)
+    states = (np.empty((steps, batch, size), dtype=dt)
+              if keep_states else None)
+    stash = None
+    if train:
+        gates = np.empty((steps, batch, 4 * size), dtype=dt)
+        cell_seq = np.empty((steps, batch, size), dtype=dt)
+        tanh_cell = np.empty((steps, batch, size), dtype=dt)
+        stash = dict(gates=gates, cell_seq=cell_seq, tanh_cell=tanh_cell,
+                     hidden_0=hidden.copy(), cell_0=cell.copy(),
+                     counts=counts, mask=mask)
+    else:
+        # Contiguous per-block scratch, as in _gru_loop.
+        if_buf = np.empty((batch, two), dtype=dt)
+        cand_buf = np.empty((batch, size), dtype=dt)
+        out_buf = np.empty((batch, size), dtype=dt)
+    gh = np.empty((batch, 4 * size), dtype=dt)
+    new_c = np.empty((batch, size), dtype=dt)
+    new_h = np.empty((batch, size), dtype=dt)
+    tmp = np.empty((batch, size), dtype=dt)
+    w_hh_t = plan.w_hh_t
+    for t in range(steps):
+        active = batch if count_list is None else count_list[t]
+        if active == 0:
+            if states is not None:
+                states[t:] = hidden
+            if train:
+                cell_seq[t:] = cell
+            break
+        h_act = hidden[:active]
+        c_act = cell[:active]
+        gx = gates_x[t, :active]
+        gh_a = gh[:active]
+        np.dot(h_act, w_hh_t, out=gh_a)
+        if train:
+            in_forget = gates[t, :active, :two]
+            candidate = gates[t, :active, two:three]
+            out_gate = gates[t, :active, three:]
+        else:
+            in_forget = if_buf[:active]
+            candidate = cand_buf[:active]
+            out_gate = out_buf[:active]
+        # One sigmoid over the adjacent (i, f) block — identical
+        # elementwise values, fewer ufunc dispatches.
+        np.add(gx[:, :two], gh_a[:, :two], out=in_forget)
+        sigmoid(in_forget, out=in_forget)
+        in_gate = in_forget[:, :size]
+        forget = in_forget[:, size:]
+        np.add(gx[:, two:three], gh_a[:, two:three], out=candidate)
+        np.tanh(candidate, out=candidate)
+        np.add(gx[:, three:], gh_a[:, three:], out=out_gate)
+        sigmoid(out_gate, out=out_gate)
+        # new_c = forget * c_prev + in * candidate
+        nc = new_c[:active]
+        np.multiply(forget, c_act, out=nc)
+        t_a = tmp[:active]
+        np.multiply(in_gate, candidate, out=t_a)
+        nc += t_a
+        tanh_new = tanh_cell[t, :active] if train else t_a
+        np.tanh(nc, out=tanh_new)
+        nh = new_h[:active]
+        np.multiply(out_gate, tanh_new, out=nh)
+        if freeze:
+            step_mask = mask[:, t:t + 1]
+            np.copyto(hidden, nh, where=step_mask)
+            np.copyto(cell, nc, where=step_mask)
+        else:
+            hidden[:active] = nh
+            cell[:active] = nc
+        if states is not None:
+            states[t] = hidden
+        if train:
+            cell_seq[t] = cell
+    return states, (hidden, cell), stash
+
+
+_LOOPS = {"gru": _gru_loop, "lstm": _lstm_loop}
+
+
+def _by_kind(table, kind):
+    """The ``table`` entry of a cell kind; ValueError for unknown kinds."""
+    if kind not in table:
+        raise ValueError("unknown cell kind %r" % kind)
+    return table[kind]
+
+
+def rnn_forward(weights, x, lengths=None, mask=None, initial=None,
                 return_outputs=False):
-    """Fused GRU forward over a padded batch.
+    """Fused GRU/LSTM forward over a padded batch, by ``weights.kind``.
 
     Parameters
     ----------
@@ -410,7 +591,8 @@ def gru_forward(weights, x, lengths=None, mask=None, initial=None,
         A :class:`WeightPlan` (or a raw :class:`~repro.nn.CellWeights`,
         promoted to a float64 plan).
     x:
-        Event representations ``(B, T, D)`` (raw numpy, any float dtype).
+        Event representations ``(B, T, D)`` (raw numpy, any float dtype;
+        cast to the plan dtype on entry).
     lengths:
         True sequence lengths ``(B,)``.  When sorted longest-first (the
         batch planner's output) each step runs on the active prefix only.
@@ -418,200 +600,38 @@ def gru_forward(weights, x, lengths=None, mask=None, initial=None,
         Optional boolean ``(B, T)``; used when ``lengths`` is absent or
         unsorted.  False entries freeze the state.
     initial:
-        Optional ``(B, H)`` state overriding the learnt c_0.
+        Optional ``(B, H)`` state (an ``(h, c)`` pair for LSTM) in any
+        float dtype overriding the learnt initial state; it is copied
+        into the plan dtype.
     return_outputs:
         When True also return the per-step states ``(B, T, H)``.
 
     Returns
     -------
     (outputs, last): outputs is None unless requested; last is ``(B, H)``
-    in the plan dtype, the state after each sequence's final real event.
+    (an ``(h, c)`` pair for LSTM) in the plan dtype, the state after each
+    sequence's final real event.  No activation cache is allocated.
     """
-    plan = as_plan(weights)
-    dt = plan.dtype
-    batch, steps, _ = x.shape
-    size = plan.hidden_size
-    two = 2 * size
-    hidden = _initial_hidden(plan, batch, initial)
-    gates_x = _plan_input_gates(plan, x)
-    outputs = (np.empty((batch, steps, size), dtype=dt)
-               if return_outputs else None)
-    counts = _active_counts(lengths, steps)
-    if counts is None and lengths is not None and mask is None:
-        mask = _mask_from_lengths(lengths, steps)
-    gh = np.empty((batch, 3 * size), dtype=dt)
-    rz = np.empty((batch, two), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    # Hoisted loop invariants: attribute loads and per-plan branches are
-    # measurable at one python-level iteration per timestep.
-    w_hh_t = plan.w_hh_t
-    bias_step = plan.bias_step
-    b_hn = plan.b_hn
-    count_list = None if counts is None else counts.tolist()
-    # float64 keeps the seed's exact h-update op order (the 1e-10 parity
-    # contract); float32 uses the algebraically-equal 3-op form
-    # ``h + z*(h_prev - h_cand)`` — one fewer dispatch per step, and the
-    # float32 path is drift-bounded rather than order-pinned.
-    fast_update = dt == np.dtype(np.float32)
-    for t in range(steps):
-        active = batch if count_list is None else count_list[t]
-        if active == 0:
-            if outputs is not None:
-                outputs[:, t:] = hidden[:, None, :]
-            break
-        h_act = hidden[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, w_hh_t, out=gh_a)
-        if bias_step is not None:
-            gh_a += bias_step
-        # One sigmoid over the contiguous (r, z) block — identical
-        # elementwise values, half the ufunc dispatches.
-        g = rz[:active]
-        np.add(gx[:, :two], gh_a[:, :two], out=g)
-        sigmoid(g, out=g)
-        reset = g[:, :size]
-        update = g[:, size:]
-        ghn = gh_a[:, two:]
-        if b_hn is not None:
-            ghn += b_hn
-        ghn *= reset
-        ghn += gx[:, two:]
-        candidate = np.tanh(ghn, out=ghn)
-        out_h = new_h[:active]
-        if fast_update:
-            # new_h = candidate + update * (h_prev - candidate)
-            np.subtract(h_act, candidate, out=out_h)
-            out_h *= update
-            out_h += candidate
-        else:
-            # new_h = (1 - update) * candidate + update * h_prev
-            np.subtract(1.0, update, out=out_h)
-            out_h *= candidate
-            t_a = tmp[:active]
-            np.multiply(update, h_act, out=t_a)
-            out_h += t_a
-        if count_list is None and mask is not None:
-            np.copyto(hidden, out_h, where=mask[:, t:t + 1])
-        else:
-            hidden[:active] = out_h
-        if outputs is not None:
-            outputs[:, t] = hidden
-    return outputs, hidden
-
-
-def lstm_forward(weights, x, lengths=None, mask=None, initial=None,
-                 return_outputs=False):
-    """Fused LSTM forward; ``initial`` and the final state are (h, c) pairs.
-
-    Same contract as :func:`gru_forward`.
-    """
-    plan = as_plan(weights)
-    dt = plan.dtype
-    batch, steps, _ = x.shape
-    size = plan.hidden_size
-    two, three = 2 * size, 3 * size
-    if initial is not None:
-        hidden = np.array(initial[0], dtype=dt, copy=True)
-        cell = np.array(initial[1], dtype=dt, copy=True)
-    else:
-        hidden = np.tile(plan.init_state, (batch, 1))
-        cell = np.tile(plan.init_cell, (batch, 1))
-    gates_x = _plan_input_gates(plan, x)
-    outputs = (np.empty((batch, steps, size), dtype=dt)
-               if return_outputs else None)
-    counts = _active_counts(lengths, steps)
-    if counts is None and lengths is not None and mask is None:
-        mask = _mask_from_lengths(lengths, steps)
-    gh = np.empty((batch, 4 * size), dtype=dt)
-    sig = np.empty((batch, two), dtype=dt)
-    cand = np.empty((batch, size), dtype=dt)
-    out_gate_buf = np.empty((batch, size), dtype=dt)
-    new_c = np.empty((batch, size), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    for t in range(steps):
-        active = batch if counts is None else int(counts[t])
-        if active == 0:
-            if outputs is not None:
-                outputs[:, t:] = hidden[:, None, :]
-            break
-        h_act = hidden[:active]
-        c_act = cell[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, plan.w_hh_t, out=gh_a)
-        if plan.bias_step is not None:
-            gh_a += plan.bias_step
-        # One sigmoid over the contiguous (i, f) block — identical
-        # elementwise values, fewer ufunc dispatches.
-        g = sig[:active]
-        np.add(gx[:, :two], gh_a[:, :two], out=g)
-        sigmoid(g, out=g)
-        in_gate = g[:, :size]
-        forget = g[:, size:]
-        cd = cand[:active]
-        np.add(gx[:, two:three], gh_a[:, two:three], out=cd)
-        np.tanh(cd, out=cd)
-        og = out_gate_buf[:active]
-        np.add(gx[:, three:], gh_a[:, three:], out=og)
-        sigmoid(og, out=og)
-        # new_c = forget * c_prev + in * candidate
-        nc = new_c[:active]
-        np.multiply(forget, c_act, out=nc)
-        t_a = tmp[:active]
-        np.multiply(in_gate, cd, out=t_a)
-        nc += t_a
-        nh = new_h[:active]
-        np.tanh(nc, out=t_a)
-        np.multiply(og, t_a, out=nh)
-        if counts is None and mask is not None:
-            step_mask = mask[:, t:t + 1]
-            np.copyto(hidden, nh, where=step_mask)
-            np.copyto(cell, nc, where=step_mask)
-        else:
-            hidden[:active] = nh
-            cell[:active] = nc
-        if outputs is not None:
-            outputs[:, t] = hidden
-    return outputs, (hidden, cell)
-
-
-def rnn_forward(weights, x, lengths=None, mask=None, initial=None,
-                return_outputs=False):
-    """Dispatch to the fused GRU or LSTM kernel by ``weights.kind``.
-
-    ``weights`` is a :class:`~repro.nn.CellWeights` view or an already
-    packed :class:`WeightPlan`; ``x`` is the ``(B, T, D)`` event array
-    (cast to the plan dtype on entry); ``lengths`` are per-row step
-    counts (ints), ``mask`` the ``(B, T)`` boolean validity mask, and
-    ``initial`` the ``(B, H)`` seed state (an ``(h, c)`` pair for LSTM)
-    in any float dtype — it is copied into the plan dtype.
-    """
-    if weights.kind == "gru":
-        return gru_forward(weights, x, lengths=lengths, mask=mask,
-                           initial=initial, return_outputs=return_outputs)
-    if weights.kind == "lstm":
-        return lstm_forward(weights, x, lengths=lengths, mask=mask,
-                            initial=initial, return_outputs=return_outputs)
-    raise ValueError("unknown cell kind %r" % weights.kind)
+    loop = _by_kind(_LOOPS, weights.kind)
+    states, last, _ = loop(as_plan(weights), x, lengths, mask, initial,
+                           keep_states=return_outputs, train=False)
+    return (None if states is None else states.swapaxes(0, 1)), last
 
 
 # ----------------------------------------------------------------------
-# training kernels: forward with an activation cache + hand-derived BPTT
+# training: the forward's activation cache + hand-derived BPTT
 # ----------------------------------------------------------------------
 
 @dataclass
 class RnnTrainCache:
     """Per-step activations stashed by a training forward pass.
 
-    Produced by :func:`gru_forward_train` / :func:`lstm_forward_train` and
-    consumed exactly once by the matching backward kernel.  Per-step
-    arrays are **time-major** (``(T, B, ·)``) so both directions of BPTT
-    touch contiguous blocks; rows beyond a step's active count hold stale
-    values in ``gates``/``gate_hidden`` — the backward kernels never read
-    them.  Everything is stored in the plan dtype.
+    Produced by :func:`rnn_forward_train` and consumed exactly once by
+    :func:`rnn_backward`.  Per-step arrays are **time-major** (``(T, B,
+    ·)``) so both directions of BPTT touch contiguous blocks; rows beyond
+    a step's active count hold stale values in ``gates``/``gate_hidden``
+    — the backward kernels never read them.  Everything is stored in the
+    plan dtype.
     """
 
     kind: str                # "gru" | "lstm"
@@ -634,210 +654,37 @@ class RnnTrainCache:
         return self.hidden_seq.transpose(1, 0, 2)
 
 
-def _train_setup(weights, x, lengths, mask):
-    """Shared preamble of the training forwards: plan + step schedule."""
-    plan = as_plan(weights)
-    batch, steps, _ = x.shape
-    if x.dtype != plan.dtype:
-        x = x.astype(plan.dtype, copy=False)
-    gates_x = _plan_input_gates(plan, x)
-    counts = _active_counts(lengths, steps)
-    if counts is None and lengths is not None and mask is None:
-        mask = _mask_from_lengths(lengths, steps)
-    return plan, x, batch, steps, gates_x, counts, mask
-
-
-def gru_forward_train(weights, x, lengths=None, mask=None, initial=None):
-    """GRU forward stashing what :func:`gru_backward` needs.
-
-    Same contract as :func:`gru_forward` (active-prefix execution when
-    ``lengths`` is sorted longest-first, mask-freezing otherwise), but
-    returns an :class:`RnnTrainCache` whose ``last`` field carries the
-    final ``(B, H)`` state.
-    """
-    plan, x, batch, steps, gates_x, counts, mask = _train_setup(
-        weights, x, lengths, mask)
-    dt = plan.dtype
-    size = plan.hidden_size
-    two = 2 * size
-    hidden = _initial_hidden(plan, batch, initial)
-    hidden_0 = hidden.copy()
-    gates = np.empty((steps, batch, 3 * size), dtype=dt)
-    gate_hidden = np.empty((steps, batch, size), dtype=dt)
-    hidden_seq = np.empty((steps, batch, size), dtype=dt)
-    gh = np.empty((batch, 3 * size), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    # Hoisted loop invariants (see gru_forward): the same rationale, the
-    # loop runs once per timestep on the training hot path.
-    w_hh_t = plan.w_hh_t
-    bias_step = plan.bias_step
-    b_hn = plan.b_hn
-    count_list = None if counts is None else counts.tolist()
-    fast_update = dt == np.dtype(np.float32)
-    for t in range(steps):
-        active = batch if count_list is None else count_list[t]
-        if active == 0:
-            hidden_seq[t:] = hidden[None, :, :]
-            break
-        h_act = hidden[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, w_hh_t, out=gh_a)
-        if bias_step is not None:
-            gh_a += bias_step
-        gate_block = gates[t, :active]
-        np.add(gx[:, :two], gh_a[:, :two], out=gate_block[:, :two])
-        sigmoid(gate_block[:, :two], out=gate_block[:, :two])
-        reset = gate_block[:, :size]
-        update = gate_block[:, size:two]
-        ghn = gh_a[:, two:]
-        if b_hn is not None:
-            ghn += b_hn
-        gate_hidden[t, :active] = ghn
-        candidate = gate_block[:, two:]
-        np.multiply(ghn, reset, out=candidate)
-        candidate += gx[:, two:]
-        np.tanh(candidate, out=candidate)
-        if count_list is None and mask is not None:
-            # Mask-freezing path: stage in scratch, then masked-copy.
-            out_h = new_h[:active]
-        else:
-            # Packed path: write the update straight into the cached
-            # step row — no staging copy, frozen rows carried below.
-            out_h = hidden_seq[t, :active]
-        if fast_update:
-            # new_h = candidate + update * (h_prev - candidate): same
-            # 3-op form as the float32 inference path (drift-bounded);
-            # the backward's analytic formulas are order-independent.
-            np.subtract(h_act, candidate, out=out_h)
-            out_h *= update
-            out_h += candidate
-        else:
-            # float64 keeps the seed's exact op order (1e-8 parity).
-            np.subtract(1.0, update, out=out_h)
-            out_h *= candidate
-            t_a = tmp[:active]
-            np.multiply(update, h_act, out=t_a)
-            out_h += t_a
-        if count_list is None and mask is not None:
-            np.copyto(hidden, out_h, where=mask[:, t:t + 1])
-            hidden_seq[t] = hidden
-        else:
-            if active < batch:
-                hidden_seq[t, active:] = hidden[active:]
-            hidden = hidden_seq[t]
-    return RnnTrainCache(kind="gru", plan=plan, x=x, gates=gates,
-                         hidden_seq=hidden_seq, hidden_0=hidden_0,
-                         counts=counts, mask=mask, last=hidden,
-                         gate_hidden=gate_hidden)
-
-
-def lstm_forward_train(weights, x, lengths=None, mask=None, initial=None):
-    """LSTM forward stashing what :func:`lstm_backward` needs.
-
-    ``initial`` and ``cache.last`` are ``(h, c)`` pairs; otherwise the
-    contract of :func:`gru_forward_train`.
-    """
-    plan, x, batch, steps, gates_x, counts, mask = _train_setup(
-        weights, x, lengths, mask)
-    dt = plan.dtype
-    size = plan.hidden_size
-    two, three = 2 * size, 3 * size
-    if initial is not None:
-        hidden = np.array(initial[0], dtype=dt, copy=True)
-        cell = np.array(initial[1], dtype=dt, copy=True)
-    else:
-        hidden = np.tile(plan.init_state, (batch, 1))
-        cell = np.tile(plan.init_cell, (batch, 1))
-    hidden_0 = hidden.copy()
-    cell_0 = cell.copy()
-    gates = np.empty((steps, batch, 4 * size), dtype=dt)
-    hidden_seq = np.empty((steps, batch, size), dtype=dt)
-    cell_seq = np.empty((steps, batch, size), dtype=dt)
-    tanh_cell = np.empty((steps, batch, size), dtype=dt)
-    gh = np.empty((batch, 4 * size), dtype=dt)
-    new_c = np.empty((batch, size), dtype=dt)
-    new_h = np.empty((batch, size), dtype=dt)
-    tmp = np.empty((batch, size), dtype=dt)
-    for t in range(steps):
-        active = batch if counts is None else int(counts[t])
-        if active == 0:
-            hidden_seq[t:] = hidden[None, :, :]
-            cell_seq[t:] = cell[None, :, :]
-            break
-        h_act = hidden[:active]
-        c_act = cell[:active]
-        gx = gates_x[t, :active]
-        gh_a = gh[:active]
-        np.dot(h_act, plan.w_hh_t, out=gh_a)
-        if plan.bias_step is not None:
-            gh_a += plan.bias_step
-        gate_block = gates[t, :active]
-        np.add(gx[:, :two], gh_a[:, :two], out=gate_block[:, :two])
-        sigmoid(gate_block[:, :two], out=gate_block[:, :two])
-        in_gate = gate_block[:, :size]
-        forget = gate_block[:, size:two]
-        candidate = gate_block[:, two:three]
-        np.add(gx[:, two:three], gh_a[:, two:three], out=candidate)
-        np.tanh(candidate, out=candidate)
-        out_gate = gate_block[:, three:]
-        np.add(gx[:, three:], gh_a[:, three:], out=out_gate)
-        sigmoid(out_gate, out=out_gate)
-        nc = new_c[:active]
-        np.multiply(forget, c_act, out=nc)
-        t_a = tmp[:active]
-        np.multiply(in_gate, candidate, out=t_a)
-        nc += t_a
-        tanh_new = tanh_cell[t, :active]
-        np.tanh(nc, out=tanh_new)
-        nh = new_h[:active]
-        np.multiply(out_gate, tanh_new, out=nh)
-        if counts is None and mask is not None:
-            step_mask = mask[:, t:t + 1]
-            np.copyto(hidden, nh, where=step_mask)
-            np.copyto(cell, nc, where=step_mask)
-        else:
-            hidden[:active] = nh
-            cell[:active] = nc
-        hidden_seq[t] = hidden
-        cell_seq[t] = cell
-    return RnnTrainCache(kind="lstm", plan=plan, x=x, gates=gates,
-                         hidden_seq=hidden_seq, hidden_0=hidden_0,
-                         counts=counts, mask=mask, last=(hidden, cell),
-                         cell_seq=cell_seq, cell_0=cell_0,
-                         tanh_cell=tanh_cell)
-
-
 def rnn_forward_train(weights, x, lengths=None, mask=None, initial=None):
-    """Dispatch to the GRU or LSTM training forward by ``weights.kind``.
+    """The :func:`rnn_forward` loop, stashing what :func:`rnn_backward` needs.
 
     Same argument contract as :func:`rnn_forward` — ``x`` is ``(B, T,
     D)``, ``mask`` ``(B, T)`` boolean, ``initial`` ``(B, H)`` (pair for
-    LSTM) — but returns the activation-caching forward used by BPTT.
+    LSTM) — but returns an :class:`RnnTrainCache` whose ``last`` and
+    ``states`` are bit-identical to that forward's result.
     """
-    if weights.kind == "gru":
-        return gru_forward_train(weights, x, lengths=lengths, mask=mask,
-                                 initial=initial)
-    if weights.kind == "lstm":
-        return lstm_forward_train(weights, x, lengths=lengths, mask=mask,
-                                  initial=initial)
-    raise ValueError("unknown cell kind %r" % weights.kind)
+    loop = _by_kind(_LOOPS, weights.kind)
+    plan = as_plan(weights)
+    if x.dtype != plan.dtype:
+        x = x.astype(plan.dtype, copy=False)
+    states, last, stash = loop(plan, x, lengths, mask, initial,
+                               keep_states=True, train=True)
+    return RnnTrainCache(kind=plan.kind, plan=plan, x=x, hidden_seq=states,
+                         last=last, **stash)
 
 
-def _step_rows(cache, t):
-    """(active, mask_col) execution descriptor of step ``t`` in backward.
+def _step_rows(cache):
+    """Per-step ``(active, mask_col)`` execution descriptors for BPTT.
 
     ``active`` is the row-prefix length for the packed path (0 skips the
     step); ``mask_col`` is the ``(B, 1)`` boolean column for the
     mask-freezing path (None on the packed path).
     """
-    batch = cache.x.shape[0]
+    batch, steps, _ = cache.x.shape
     if cache.counts is not None:
-        return int(cache.counts[t]), None
+        return [(active, None) for active in cache.counts.tolist()]
     if cache.mask is not None:
-        return batch, cache.mask[:, t:t + 1]
-    return batch, None
+        return [(batch, cache.mask[:, t:t + 1]) for t in range(steps)]
+    return [(batch, None)] * steps
 
 
 def _finish_input_grads(plan, x, d_gates_x):
@@ -862,29 +709,9 @@ def _finish_input_grads(plan, x, d_gates_x):
     }
 
 
-def gru_backward(weights, cache, d_last, d_outputs=None):
-    """Hand-derived BPTT through a cached GRU forward.
-
-    Parameters
-    ----------
-    weights:
-        The weights/plan the forward ran with (the cached plan wins).
-    cache:
-        The :class:`RnnTrainCache` from :func:`gru_forward_train`.
-    d_last:
-        Loss gradient wrt the final hidden state, ``(B, H)``.
-    d_outputs:
-        Optional loss gradient wrt every per-step state, ``(B, T, H)``
-        (CPC-style objectives).
-
-    Returns
-    -------
-    dict with ``d_x`` (gradient wrt the event representations, ``(B, T,
-    D)``) and per-parameter gradients ``weight_ih``, ``weight_hh``,
-    ``bias_ih``, ``bias_hh``, ``init_state`` — the exact quantities the
-    autograd path accumulates, to < 1e-8 under the float64 policy.
-    """
-    plan = cache.plan if cache.plan is not None else as_plan(weights)
+def _gru_backward(cache, d_last, d_outputs):
+    """Hand-derived GRU BPTT; the contract of :func:`rnn_backward`."""
+    plan = cache.plan
     dt = plan.dtype
     batch, steps, _ = cache.x.shape
     size = plan.hidden_size
@@ -898,8 +725,7 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
     w_hh = plan.w_hh_t.T
     hidden_seq, hidden_0 = cache.hidden_seq, cache.hidden_0
     gates, gate_hidden = cache.gates, cache.gate_hidden
-    count_list = (None if cache.counts is None else cache.counts.tolist())
-    freeze_mask = cache.mask
+    rows = _step_rows(cache)
     # Per-step scratch (views sliced to the active prefix): the loop
     # runs once per timestep, where temporary allocations are
     # measurable on the training hot path.
@@ -909,12 +735,7 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
     for t in range(steps - 1, -1, -1):
         if d_outputs is not None:
             d_hidden += d_outputs[:, t]
-        if count_list is not None:
-            active, mask_col = count_list[t], None
-        elif freeze_mask is not None:
-            active, mask_col = batch, freeze_mask[:, t:t + 1]
-        else:
-            active, mask_col = batch, None
+        active, mask_col = rows[t]
         if active == 0:
             continue
         dh = d_hidden[:active] if mask_col is None else d_hidden * mask_col
@@ -976,16 +797,9 @@ def gru_backward(weights, cache, d_last, d_outputs=None):
     return grads
 
 
-def lstm_backward(weights, cache, d_last, d_outputs=None):
-    """Hand-derived BPTT through a cached LSTM forward.
-
-    Same contract as :func:`gru_backward`: ``d_last`` is the ``(B, H)``
-    gradient wrt the final *hidden* state only (the loss never sees the
-    cell), ``d_outputs`` the optional ``(B, T, H)`` per-step gradients;
-    both are cast to the plan dtype.  The result additionally carries
-    ``init_cell``.
-    """
-    plan = cache.plan if cache.plan is not None else as_plan(weights)
+def _lstm_backward(cache, d_last, d_outputs):
+    """Hand-derived LSTM BPTT; the contract of :func:`rnn_backward`."""
+    plan = cache.plan
     dt = plan.dtype
     batch, steps, _ = cache.x.shape
     size = plan.hidden_size
@@ -997,10 +811,11 @@ def lstm_backward(weights, cache, d_last, d_outputs=None):
     d_bias_hh = np.zeros(4 * size, dtype=dt)
     w_hh = plan.w_hh_t.T
     d_gh = np.empty((batch, 4 * size), dtype=dt)
+    rows = _step_rows(cache)
     for t in range(steps - 1, -1, -1):
         if d_outputs is not None:
             d_hidden += d_outputs[:, t]
-        active, mask_col = _step_rows(cache, t)
+        active, mask_col = rows[t]
         if active == 0:
             continue
         if mask_col is None:
@@ -1049,18 +864,37 @@ def lstm_backward(weights, cache, d_last, d_outputs=None):
     return grads
 
 
-def rnn_backward(weights, cache, d_last, d_outputs=None):
-    """Dispatch to the GRU or LSTM backward kernel by ``cache.kind``.
+_BACKWARDS = {"gru": _gru_backward, "lstm": _lstm_backward}
 
-    ``d_last`` is the ``(B, H)`` gradient wrt the final hidden state,
-    ``d_outputs`` the optional ``(B, T, H)`` per-step state gradients
-    (both accepted in any float dtype, cast to the plan dtype).
+
+def rnn_backward(weights, cache, d_last, d_outputs=None):
+    """Hand-derived BPTT through a cached GRU/LSTM forward.
+
+    Parameters
+    ----------
+    weights:
+        The weights/plan the forward ran with; the backward uses the
+        plan cached by :func:`rnn_forward_train`.
+    cache:
+        The :class:`RnnTrainCache` from :func:`rnn_forward_train`.
+    d_last:
+        Loss gradient wrt the final *hidden* state, ``(B, H)`` (for LSTM
+        the loss never sees the cell).
+    d_outputs:
+        Optional loss gradient wrt every per-step state, ``(B, T, H)``
+        (CPC-style objectives).  Both gradients are accepted in any
+        float dtype and cast to the plan dtype.
+
+    Returns
+    -------
+    dict with ``d_x`` (gradient wrt the event representations, ``(B, T,
+    D)``) and per-parameter gradients ``weight_ih``, ``weight_hh``,
+    ``bias_ih``, ``bias_hh``, ``init_state`` (plus ``init_cell`` for
+    LSTM) — the exact quantities the autograd path accumulates, to
+    < 1e-8 under the float64 policy.
     """
-    if cache.kind == "gru":
-        return gru_backward(weights, cache, d_last, d_outputs=d_outputs)
-    if cache.kind == "lstm":
-        return lstm_backward(weights, cache, d_last, d_outputs=d_outputs)
-    raise ValueError("unknown cell kind %r" % cache.kind)
+    backward = _by_kind(_BACKWARDS, cache.kind)
+    return backward(cache, d_last, d_outputs)
 
 
 # ----------------------------------------------------------------------

@@ -326,8 +326,8 @@ class FusedTrainStep:
 
     def _forward_transformer(self, batch, x, bn_scaled):
         """The attention-path forward: no row sort, pooled state as hidden."""
-        cache = attention.transformer_forward_train(self.weight_plan(), x,
-                                                    mask=batch.mask)
+        cache = attention.transformer_forward(self.weight_plan(), x,
+                                              mask=batch.mask, train=True)
         identity = np.arange(len(batch.lengths), dtype=np.intp)
         hidden = cache.pooled
         if self.encoder.normalize:

@@ -76,8 +76,8 @@ def test_packed_and_masked_paths_agree():
     lengths = np.sort(rng.integers(1, 13, size=5))[::-1]
     mask = np.arange(12)[None, :] < lengths[:, None]
     weights = cell.export_weights()
-    _, packed = kernels.gru_forward(weights, x, lengths=lengths)
-    _, masked = kernels.gru_forward(weights, x, mask=mask)
+    _, packed = kernels.rnn_forward(weights, x, lengths=lengths)
+    _, masked = kernels.rnn_forward(weights, x, mask=mask)
     np.testing.assert_allclose(packed, masked, atol=ATOL)
 
 

@@ -97,9 +97,9 @@ def test_packed_and_masked_backward_agree():
     d_last = rng.standard_normal((5, 10))
     weights = cell.export_weights()
     packed = kernels.rnn_backward(
-        weights, kernels.gru_forward_train(weights, x, lengths=lengths), d_last)
+        weights, kernels.rnn_forward_train(weights, x, lengths=lengths), d_last)
     masked = kernels.rnn_backward(
-        weights, kernels.gru_forward_train(weights, x, mask=mask), d_last)
+        weights, kernels.rnn_forward_train(weights, x, mask=mask), d_last)
     for name, value in packed.items():
         np.testing.assert_allclose(masked[name], value, atol=1e-12,
                                    err_msg=name)
@@ -438,8 +438,8 @@ def test_frozen_rows_pass_gradients_through():
     (last * Tensor(d_last)).sum().backward()
 
     weights = cell.export_weights()
-    cache = kernels.gru_forward_train(weights, x, lengths=lengths)
-    grads = kernels.gru_backward(weights, cache, d_last)
+    cache = kernels.rnn_forward_train(weights, x, lengths=lengths)
+    grads = kernels.rnn_backward(weights, cache, d_last)
     np.testing.assert_allclose(grads["d_x"], x_tensor.grad, atol=ATOL)
     # Gradients at padded positions are exactly zero on both paths.
     assert np.all(grads["d_x"][~mask] == 0.0)
@@ -470,8 +470,8 @@ def test_lstm_initial_cell_gradient():
     (hidden * Tensor(d_last)).sum().backward()
 
     weights = cell.export_weights()
-    cache = kernels.lstm_forward_train(weights, x, lengths=lengths)
-    grads = kernels.lstm_backward(weights, cache, d_last)
+    cache = kernels.rnn_forward_train(weights, x, lengths=lengths)
+    grads = kernels.rnn_backward(weights, cache, d_last)
     np.testing.assert_allclose(grads["init_state"], cell.init_state.grad,
                                atol=ATOL)
     np.testing.assert_allclose(grads["init_cell"], cell.init_cell.grad,

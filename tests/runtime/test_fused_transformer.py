@@ -129,7 +129,7 @@ def test_backward_matches_autograd(seed, heads, head_dim, layers, batch,
     _, _, leaf = _reference(encoder, x, mask, d_pooled=d_pooled,
                             d_states=d_states)
     plan = build_transformer_plan(encoder, "float64")
-    cache = attention.transformer_forward_train(plan, x, mask=mask)
+    cache = attention.transformer_forward(plan, x, mask=mask, train=True)
     grads = attention.transformer_backward(plan, cache, d_pooled,
                                            d_states=d_states)
     for name, param in attention.transformer_parameters(encoder).items():
@@ -156,7 +156,7 @@ def test_backward_matches_finite_differences():
         return float((pooled * d_pooled).sum())
 
     plan = build_transformer_plan(encoder, "float64")
-    cache = attention.transformer_forward_train(plan, x, mask=mask)
+    cache = attention.transformer_forward(plan, x, mask=mask, train=True)
     grads = attention.transformer_backward(plan, cache, d_pooled)
     eps = 1e-6
     for name, param in attention.transformer_parameters(encoder).items():
@@ -200,7 +200,7 @@ def test_fully_padded_row_pools_to_zero_without_nan(engine):
     np.testing.assert_array_equal(pooled[1], np.zeros(6))
     # The backward must stay finite through the degenerate row too.
     plan = build_transformer_plan(encoder, "float64")
-    cache = attention.transformer_forward_train(plan, x, mask=mask)
+    cache = attention.transformer_forward(plan, x, mask=mask, train=True)
     grads = attention.transformer_backward(
         plan, cache, np.ones((3, 6)), d_states=np.ones((3, 5, 6)))
     for name, grad in grads.items():
@@ -233,7 +233,7 @@ def test_train_forward_mirrors_autograd_dropout_stream():
     for module, state in snapshot:
         module.rng.bit_generator.state = state
     plan = build_transformer_plan(encoder, "float64")
-    cache = attention.transformer_forward_train(plan, x, mask=mask)
+    cache = attention.transformer_forward(plan, x, mask=mask, train=True)
     np.testing.assert_allclose(cache.states, ref_states, atol=ATOL_FWD)
     np.testing.assert_allclose(cache.pooled, ref_pooled, atol=ATOL_FWD)
 

@@ -239,19 +239,34 @@ def test_weight_plan_invalidated_by_optimizer_rebind(dataset, cell):
                                atol=F32_ATOL)
 
 
-def test_float32_plan_folds_biases():
+def test_plan_folds_biases():
+    """Both policies share one layout: every exact bias fold is applied.
+
+    The recurrent bias folds into ``bias_x`` for all LSTM gates and the
+    GRU r/z gates; only the GRU n-gate bias ``b_hn`` stays per-step.
+    """
     rng = np.random.default_rng(0)
-    gru = GRU(5, 7, rng=rng)
-    lstm = LSTM(5, 7, rng=rng)
-    f64_plan = kernels.build_weight_plan(gru.export_weights(), "float64")
-    assert f64_plan.bias_step is not None and f64_plan.b_hn is None
-    f32_gru = kernels.build_weight_plan(gru.export_weights(), "float32")
-    assert f32_gru.bias_step is None and f32_gru.b_hn is not None
-    f32_lstm = kernels.build_weight_plan(lstm.export_weights(), "float32")
-    assert f32_lstm.bias_step is None and f32_lstm.b_hn is None
-    for plan in (f64_plan, f32_gru, f32_lstm):
-        assert plan.w_ih_t.flags["C_CONTIGUOUS"]
-        assert plan.w_hh_t.flags["C_CONTIGUOUS"]
+    gru = GRU(5, 7, rng=rng).export_weights()
+    lstm = LSTM(5, 7, rng=rng).export_weights()
+    for precision in ("float32", "float64"):
+        dtype = np.dtype(precision)
+        gru_plan = kernels.build_weight_plan(gru, precision)
+        lstm_plan = kernels.build_weight_plan(lstm, precision)
+        assert not hasattr(gru_plan, "bias_step")
+        b_ih = gru.bias_ih.astype(dtype)
+        b_hh = gru.bias_hh.astype(dtype)
+        np.testing.assert_array_equal(gru_plan.bias_x[:14],
+                                      b_ih[:14] + b_hh[:14])
+        np.testing.assert_array_equal(gru_plan.bias_x[14:], b_ih[14:])
+        np.testing.assert_array_equal(gru_plan.b_hn, b_hh[14:])
+        assert lstm_plan.b_hn is None
+        np.testing.assert_array_equal(
+            lstm_plan.bias_x,
+            lstm.bias_ih.astype(dtype) + lstm.bias_hh.astype(dtype))
+        for plan in (gru_plan, lstm_plan):
+            assert plan.dtype == dtype and plan.bias_x.dtype == dtype
+            assert plan.w_ih_t.flags["C_CONTIGUOUS"]
+            assert plan.w_hh_t.flags["C_CONTIGUOUS"]
 
 
 # ----------------------------------------------------------------------
